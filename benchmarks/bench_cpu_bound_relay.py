@@ -31,7 +31,7 @@ def run_cpu_bound(leaves: int, exchanges: int = 3, seed=0):
     cfg = EndpointConfig(
         mode=Mode.MERKLE,
         batch_size=leaves,
-        chain_length=max(4 * exchanges, 8),
+        chain_length=max(4 * exchanges, 10),
         retransmit_timeout_s=60.0,
     )
     s = EndpointAdapter(AlphaEndpoint("s", cfg, seed=f"{seed}s"), net.nodes["s"])

@@ -6,28 +6,16 @@ datagrams here: two endpoints on 127.0.0.1, a protected handshake,
 reliable ALPHA-C delivery with end-to-end delivery confirmations, and a
 mid-session "locator update" where one endpoint moves to a new socket
 without disturbing the association — the HIP mobility story on a real
-transport.
+transport. One reactor drives both sockets.
 
     python examples/udp_live.py
 """
-
-import time
 
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.modes import Mode, ReliabilityMode
 from repro.crypto.drbg import DRBG
 from repro.crypto.signatures import EcdsaScheme
-from repro.transports import UdpTransport
-
-
-def pump_both(ta, tb, predicate, timeout_s=5.0):
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        ta.pump(0.01)
-        tb.pump(0.01)
-        if predicate():
-            return True
-    return False
+from repro.transports import Reactor, UdpTransport
 
 
 def main() -> None:
@@ -42,35 +30,40 @@ def main() -> None:
     # Protected bootstrap: anchors signed with ECDSA P-256 identities.
     id_a = EcdsaScheme.generate(DRBG(b"identity-a"))
     id_b = EcdsaScheme.generate(DRBG(b"identity-b"))
-    alice = UdpTransport(AlphaEndpoint("alice", config, seed=1, identity=id_a))
-    bob = UdpTransport(AlphaEndpoint("bob", config, seed=2, identity=id_b))
+    reactor = Reactor()
+    alice = reactor.add(
+        UdpTransport(AlphaEndpoint("alice", config, seed=1, identity=id_a))
+    )
+    bob = reactor.add(
+        UdpTransport(AlphaEndpoint("bob", config, seed=2, identity=id_b))
+    )
     alice.register_peer("bob", bob.address)
     bob.register_peer("alice", alice.address)
     print(f"alice on {alice.address}, bob on {bob.address}")
 
     alice.connect("bob")
-    ok = pump_both(alice, bob, lambda: alice.endpoint.association("bob").established)
+    ok = reactor.run_until(lambda: alice.endpoint.association("bob").established)
     print(f"protected handshake (ECDSA-signed anchors): established={ok}")
 
     for i in range(8):
         alice.send("bob", f"udp-message-{i}".encode())
-    pump_both(alice, bob, lambda: len(alice.reports) == 8)
+    reactor.run_until(lambda: len(alice.reports) == 8)
     confirmed = sum(1 for _, r in alice.reports if r.delivered)
     print(f"bob received {len(bob.received)} messages; "
           f"alice has {confirmed}/8 signed delivery confirmations")
 
     # Bob "moves" to a new address; only the transport directory changes.
-    bob_new = UdpTransport(bob.endpoint)
+    reactor.remove(bob)
+    bob.close()
+    bob_new = reactor.add(UdpTransport(bob.endpoint))
     bob_new.register_peer("alice", alice.address)
     alice.register_peer("bob", bob_new.address)
     print(f"bob moved to {bob_new.address} (same association, same chains)")
     alice.send("bob", b"message after mobility event")
-    pump_both(alice, bob_new, lambda: len(bob_new.received) >= 1)
+    reactor.run_until(lambda: len(bob_new.received) >= 1)
     print(f"delivered after move: {[m for _, m in bob_new.received]}")
 
-    alice.close()
-    bob.close()
-    bob_new.close()
+    reactor.close()
 
 
 if __name__ == "__main__":

@@ -2,8 +2,8 @@
 
 :class:`EndpointAdapter` binds an :class:`~repro.core.endpoint.AlphaEndpoint`
 to a :class:`~repro.netsim.node.Node`: received frames are fed into the
-endpoint, produced packets become frames, and a self-rescheduling poll
-loop drives the engine's timers while it has work.
+endpoint, produced packets become frames, and one simulator event, kept
+at the endpoint's ``next_deadline()``, drives its timers.
 
 :class:`RelayAdapter` installs a
 :class:`~repro.core.relay.RelayEngine` as a node's forward filter, which
@@ -12,36 +12,27 @@ is all a relay is: a forwarding node that judges transit packets.
 
 from __future__ import annotations
 
-from repro.core.endpoint import AlphaEndpoint, EndpointOutput
+from repro.core.endpoint import AlphaEndpoint, EndpointCarrier
 from repro.core.relay import RelayConfig, RelayEngine
 from repro.netsim.node import Node
 from repro.netsim.packet import Frame
+from repro.netsim.simulator import Event
 
 FRAME_KIND = "alpha"
 
 
-class EndpointAdapter:
+class EndpointAdapter(EndpointCarrier):
     """Runs an endpoint on a simulator node."""
 
-    def __init__(
-        self,
-        endpoint: AlphaEndpoint,
-        node: Node,
-        poll_interval_s: float = 0.01,
-    ) -> None:
+    def __init__(self, endpoint: AlphaEndpoint, node: Node) -> None:
         if endpoint.name != node.name:
             raise ValueError(
                 f"endpoint {endpoint.name!r} must match node {node.name!r}"
             )
-        if poll_interval_s <= 0:
-            raise ValueError("poll interval must be positive")
-        self.endpoint = endpoint
+        super().__init__(endpoint)
         self.node = node
-        self.poll_interval_s = poll_interval_s
-        self._poll_scheduled = False
-        self.received: list[tuple[str, bytes]] = []
-        self.reports: list = []
-        self.failures: list = []
+        #: The pending wake-up at the endpoint's next deadline, if any.
+        self._wakeup: Event | None = None
         node.app_handler = self._on_frame
 
     # -- application API --------------------------------------------------------
@@ -50,12 +41,12 @@ class EndpointAdapter:
         """Kick off a dynamic handshake with ``peer``."""
         dest, payload = self.endpoint.connect(peer, now=self.node.simulator.now)
         self._transmit(dest, payload)
-        self._ensure_poll()
+        self._schedule()
 
     def send(self, peer: str, message: bytes) -> None:
-        """Queue a protected message and keep the engine running."""
+        """Queue a protected message; a free exchange slot takes it now."""
         self.endpoint.send(peer, message)
-        self._kick()
+        self._service()
 
     def established(self, peer: str) -> bool:
         try:
@@ -70,29 +61,28 @@ class EndpointAdapter:
             frame.payload, frame.source, self.node.simulator.now
         )
         self._dispatch(out)
-        self._ensure_poll()
+        self._schedule()
 
-    def _kick(self) -> None:
-        out = self.endpoint.poll(self.node.simulator.now)
-        self._dispatch(out)
-        self._ensure_poll()
+    def _wake(self) -> None:
+        self._wakeup = None
+        self._service()
 
-    def _poll(self) -> None:
-        self._poll_scheduled = False
-        self._kick()
+    def _service(self) -> None:
+        self._dispatch(self.endpoint.poll(self.node.simulator.now))
+        self._schedule()
 
-    def _ensure_poll(self) -> None:
-        if not self._poll_scheduled and self.endpoint.busy:
-            self._poll_scheduled = True
-            self.node.simulator.schedule(self.poll_interval_s, self._poll)
-
-    def _dispatch(self, out: EndpointOutput) -> None:
-        for dest, payload in out.replies:
-            self._transmit(dest, payload)
-        for peer, message in out.delivered:
-            self.received.append((peer, message.message))
-        self.reports.extend(out.reports)
-        self.failures.extend(out.failures)
+    def _schedule(self) -> None:
+        """Keep exactly one wake-up, at the endpoint's next deadline."""
+        deadline = self.endpoint.next_deadline()
+        if deadline is None:
+            return
+        simulator = self.node.simulator
+        deadline = max(deadline, simulator.now)
+        if self._wakeup is not None:
+            if self._wakeup.time <= deadline:
+                return
+            self._wakeup.cancel()
+        self._wakeup = simulator.schedule_at(deadline, self._wake)
 
     def _transmit(self, dest: str, payload: bytes) -> None:
         self.node.send(

@@ -170,6 +170,9 @@ class AdaptiveController:
         self._samples = 0
         self._last_tick: float | None = None
         self._last_switch_at: float | None = None
+        #: True from an applied ledger seed until the association first
+        #: sends: idle ticks carry no evidence against the seed.
+        self._seed_held = False
         self._last_packets = signer.stats.packets_sent
         self._last_retransmits = signer.stats.retransmits
 
@@ -184,6 +187,7 @@ class AdaptiveController:
         self._last_retransmits = stats.retransmits
         if d_packets <= 0:
             return  # idle interval: no information, keep the estimate
+        self._seed_held = False
         sample = min(1.0, d_retrans / d_packets)
         self.loss_ewma += self.config.ewma_alpha * (sample - self.loss_ewma)
         self._samples += 1
@@ -298,6 +302,7 @@ class AdaptiveController:
             return None
         self.signer.reconfigure(applied)
         self._last_switch_at = now
+        self._seed_held = True
         decision = Decision(
             at=now,
             kind="seed",
@@ -347,7 +352,10 @@ class AdaptiveController:
             registry.gauge("adaptive.mode").set(int(self.signer.config.mode))
             if srtt is not None:
                 registry.gauge("adaptive.srtt_s").set(round(srtt, 6))
-        if self._samples < self.config.warmup_intervals:
+        if self._samples < self.config.warmup_intervals or self._seed_held:
+            # A seeded channel holds until it has carried traffic: an
+            # idle association falling back to BASE would send its first
+            # exchange in BASE on a link the ledger knows is lossy.
             return None
         current = self.signer.config
         mode = self._target_mode(queue)

@@ -146,21 +146,19 @@ class EndpointConfig:
     #: transport layer re-points next-hops here. ``None`` means routing
     #: is external (e.g. the netsim already reroutes).
     on_path_switch: Callable | None = None
-    #: Treat a terminal ``rto-escape`` failure as conclusive dead-peer
-    #: evidence (the probe budget proved the path black-holed): trip
-    #: dead-peer handling immediately instead of waiting for
-    #: ``dead_peer_threshold`` consecutive failures, so auto-rebootstrap
-    #: recovers the association instead of letting it die silently.
-    #: Only consulted while dead-peer detection is enabled.
-    escape_is_dead_peer: bool = True
-    #: Schedule timer work (handshake retransmits, RTO deadlines, rekey
-    #: checks) on a deadline heap so :meth:`AlphaEndpoint.poll` costs
-    #: O(due timers + dirty associations), not O(total associations) —
-    #: the difference between hundreds and tens of thousands of live
-    #: associations per process (PROTOCOL.md §15). ``False`` restores
-    #: the historical every-association scan; the differential property
-    #: suite drives both and asserts identical protocol behaviour.
-    deadline_heap: bool = True
+
+    def __post_init__(self) -> None:
+        # A fresh chain pair supports ``chain_length // 2`` exchanges; at
+        # or below the threshold every new association would start its
+        # own replacement handshake, forever.
+        runway = self.chain_length // 2
+        if self.rekey_threshold > 0 and runway <= self.rekey_threshold:
+            raise ValueError(
+                f"rekey_threshold={self.rekey_threshold} re-keys every fresh"
+                f" association (chain_length={self.chain_length} gives"
+                f" {runway} exchanges); lengthen the chain or set"
+                " rekey_threshold=0"
+            )
 
     def channel_config(self) -> ChannelConfig:
         return ChannelConfig(
@@ -203,6 +201,10 @@ class Association:
     replacement_id: int | None = None
     #: True once superseded by a replacement (kept around to drain).
     retired: bool = False
+    #: Superseded by the *peer's* re-key: the peer may still be
+    #: finishing exchanges on this association, so it is kept until no
+    #: packet has arrived on it for a whole retry budget (this instant).
+    linger_until: float | None = None
     #: Dead-peer detection tripped: the peer stopped answering.
     down: bool = False
     #: Feedback controller over the signer's channel (adaptive mode).
@@ -216,11 +218,11 @@ class Association:
     #: a push-suppression mark: later deadlines than this may linger as
     #: stale heap entries, which cost one spurious no-op service each.
     armed_deadline: float | None = None
-    #: Monotonic installation order on the owning endpoint. Heap-mode
-    #: poll turns service due associations in this order so a turn
-    #: emits packets exactly as the historical full scan (dict
-    #: insertion order) did — packet order is behaviour wherever the
-    #: link draws per-packet randomness.
+    #: Monotonic installation order on the owning endpoint. Poll turns
+    #: service due associations in this order, so a turn emits packets
+    #: exactly as a scan of every association in ``_by_id`` order would
+    #: — packet order is behaviour wherever the link draws per-packet
+    #: randomness.
     install_seq: int = 0
 
 
@@ -234,6 +236,33 @@ class EndpointOutput:
     #: Terminal failures: exchanges or handshakes that hit their retry
     #: cap (dead peer, persistent partition). One entry per exchange.
     failures: list[tuple[str, ExchangeFailed]] = field(default_factory=list)
+
+
+class EndpointCarrier:
+    """Base of everything that carries one endpoint's packets.
+
+    Holds the single routing of :class:`EndpointOutput`: replies go to
+    :meth:`_transmit`, which each carrier (simulator node, UDP socket,
+    in-memory queue) supplies; deliveries, delivery reports and terminal
+    failures collect here.
+    """
+
+    def __init__(self, endpoint: AlphaEndpoint) -> None:
+        self.endpoint = endpoint
+        self.received: list[tuple[str, bytes]] = []
+        self.reports: list[tuple[str, DeliveryReport]] = []
+        self.failures: list[tuple[str, ExchangeFailed]] = []
+
+    def _dispatch(self, out: EndpointOutput) -> None:
+        for dest, payload in out.replies:
+            self._transmit(dest, payload)
+        for peer, message in out.delivered:
+            self.received.append((peer, message.message))
+        self.reports.extend(out.reports)
+        self.failures.extend(out.failures)
+
+    def _transmit(self, dest: str, payload: bytes) -> None:
+        raise NotImplementedError
 
 
 class AlphaEndpoint:
@@ -265,11 +294,11 @@ class AlphaEndpoint:
         #: entries, earliest first. Stale entries (deleted associations,
         #: superseded deadlines) are dropped lazily on pop.
         self._timers: list[tuple[float, int]] = []
-        #: Associations with non-timer work pending (fresh sends, packet
-        #: activity, retirement) that the next :meth:`poll` must service
-        #: regardless of any armed deadline.
+        #: Associations with non-timer work pending (sends, reconfigures,
+        #: installs, retirements) that the next :meth:`poll` must service
+        #: regardless of any armed deadline. Packet activity is serviced
+        #: inline by :meth:`on_packet` instead.
         self._dirty: set[int] = set()
-        self._use_heap = self.config.deadline_heap
         #: Deadline-heap service lag histogram (``telemetry.heap.lag_ms``,
         #: PROTOCOL.md §16): how far past its armed deadline a timer pops.
         #: Measured purely in the injected clock domain — the real-clock
@@ -437,6 +466,8 @@ class AlphaEndpoint:
         assoc = self._by_id.get(packet.assoc_id)
         if assoc is None or not assoc.established or assoc.peer != src:
             return out
+        if assoc.linger_until is not None:
+            assoc.linger_until = now + self._retry_budget_s()
         if isinstance(packet, S1Packet):
             a1 = assoc.verifier.handle_s1(packet, now)
             if a1 is not None:
@@ -453,29 +484,21 @@ class AlphaEndpoint:
         elif isinstance(packet, A2Packet):
             for s2 in assoc.signer.handle_a2(packet, now):
                 out.replies.append((src, s2))
-        self._collect_signer_output(assoc, now, out)
         # Packet activity moved deadlines and may have completed
-        # exchanges: the next poll turn must re-check rekey thresholds
-        # and retirement drain for this association.
-        self._mark_dirty(assoc)
+        # exchanges: service the association now (signer output, re-key
+        # check, drain, re-arm) rather than leave it for a poll turn.
+        self._service_association(assoc, now, out)
         return out
 
     def poll(self, now: float) -> EndpointOutput:
         """Drive due timers and dirty associations.
 
-        With ``deadline_heap`` (the default) only associations whose
-        armed deadline has passed — plus those marked dirty by packet
-        activity, sends, or retirement — are serviced; everything else
-        is untouched, so the cost of a poll turn is driven by due work,
-        not by how many associations exist. With the heap disabled this
-        degrades to the historical full scan (same protocol behaviour,
-        O(n) per turn — kept as the differential-test oracle).
+        Only associations whose armed deadline has passed — plus those
+        marked dirty by a send, reconfigure, install or retirement — are
+        serviced; everything else is untouched, so the cost of a poll
+        turn is driven by due work, not by how many associations exist.
         """
         out = EndpointOutput()
-        if not self._use_heap:
-            for assoc in list(self._by_id.values()):
-                self._service_association(assoc, now, out)
-            return out
         due: dict[int, Association] = {}
         observe_lag = self.obs.enabled
         while self._timers and self._timers[0][0] <= now:
@@ -495,12 +518,11 @@ class AlphaEndpoint:
                     due[assoc_id] = assoc
             self._dirty.clear()
         if self.config.adaptive:
-            # Controllers are time-sampled feedback loops: the historical
-            # full scan ticked every one each poll turn, and that cadence
-            # is what the EWMA sampling was calibrated against. Keep it
-            # exactly — inside the decision interval the tick is a cheap
-            # early return, and due associations tick in their own
-            # service slot. A retune makes the association due so the
+            # Controllers are time-sampled feedback loops whose EWMA
+            # sampling was calibrated against one tick per poll turn for
+            # every controller. Keep that cadence — inside the decision
+            # interval the tick is a cheap early return, and due
+            # associations tick in their own service slot. A retune makes the association due so the
             # new channel config shapes exchanges started this turn.
             for assoc in list(self._by_id.values()):
                 if (
@@ -511,35 +533,25 @@ class AlphaEndpoint:
                     continue
                 if assoc.controller.poll(now) is not None:
                     due[assoc.assoc_id] = assoc
-        # Installation order, not heap-pop order: the historical scan
-        # iterated ``_by_id`` insertion order, and a turn's packet order
+        # Installation order, not heap-pop order: a turn's packet order
         # is behaviour wherever the link draws per-packet randomness.
         for assoc in sorted(due.values(), key=lambda a: a.install_seq):
             self._service_association(assoc, now, out)
         return out
 
     def next_deadline(self) -> float | None:
-        """Earliest armed timer, or ``None`` when nothing is scheduled.
+        """Earliest instant :meth:`poll` has work, or ``None`` when idle.
 
-        Event loops (the reactor, ``UdpTransport.pump``) use this to
-        bound their select timeout. May be conservatively early when a
+        This is the whole wake-up contract: call :meth:`on_packet` when
+        a packet arrives and :meth:`poll` once the clock reaches this
+        instant (``0.0`` means now). Every event loop — the simulator
+        adapter, the reactor, the in-memory network — wakes the
+        endpoint by this rule alone. May be conservatively early when a
         stale heap entry survives — never late.
         """
-        if not self._use_heap:
-            # Full-scan mode has no timer book-keeping: every turn is
-            # potentially due, exactly as the historical loop assumed.
-            return 0.0 if self._by_id else None
         if self._dirty:
             return 0.0
         return self._timers[0][0] if self._timers else None
-
-    def needs_service(self, now: float) -> bool:
-        """True when :meth:`poll` at ``now`` would have work to do."""
-        if not self._use_heap:
-            return bool(self._by_id)
-        if self._dirty:
-            return True
-        return bool(self._timers) and self._timers[0][0] <= now
 
     def _service_association(
         self, assoc: Association, now: float, out: EndpointOutput
@@ -570,6 +582,10 @@ class AlphaEndpoint:
         self._collect_signer_output(assoc, now, out)
         self._maybe_rekey(assoc, now, out)
         if assoc.retired and assoc.signer.idle:
+            if assoc.linger_until is not None and now < assoc.linger_until:
+                # The peer's in-flight traffic may still be arriving.
+                self._arm(assoc, assoc.linger_until)
+                return
             # Preserve the drained association's counters before it goes.
             self._drained.merge(assoc.signer.stats)
             self._drained_rto_peak = max(
@@ -597,7 +613,7 @@ class AlphaEndpoint:
 
     def _arm(self, assoc: Association, deadline: float | None) -> None:
         """Push a timer unless an equal-or-earlier one is already armed."""
-        if not self._use_heap or deadline is None:
+        if deadline is None:
             return
         armed = assoc.armed_deadline
         if armed is not None and armed <= deadline:
@@ -607,8 +623,6 @@ class AlphaEndpoint:
 
     def _rearm(self, assoc: Association, now: float) -> None:
         """Arm the association's next natural deadline after a service."""
-        if not self._use_heap:
-            return
         if not assoc.established:
             if assoc.initiator:
                 self._arm(assoc, assoc.hs_deadline)
@@ -623,8 +637,14 @@ class AlphaEndpoint:
 
     def _mark_dirty(self, assoc: Association) -> None:
         """Queue the association for service on the next poll turn."""
-        if self._use_heap:
-            self._dirty.add(assoc.assoc_id)
+        self._dirty.add(assoc.assoc_id)
+
+    def _retry_budget_s(self) -> float:
+        """Longest a peer still retrying an exchange can stay silent:
+        every retry spent at the timeout ceiling."""
+        config = self.config
+        ceiling = max(config.rto_max_s, config.retransmit_timeout_s)
+        return ceiling * (config.max_retries + 1)
 
     @property
     def busy(self) -> bool:
@@ -657,7 +677,10 @@ class AlphaEndpoint:
             )
             previous = self._by_peer.get(peer)
             if previous is not None and previous.assoc_id != assoc_id:
-                previous.retired = True  # superseded by the peer's re-key
+                # Superseded by the peer's re-key; its exchanges in
+                # flight on the old association still need a verifier.
+                previous.retired = True
+                previous.linger_until = now + self._retry_budget_s()
                 self._mark_dirty(previous)
             self._by_peer[peer] = assoc
             self._admit(assoc)
@@ -896,10 +919,7 @@ class AlphaEndpoint:
             if failure.reason == "rto-escape":
                 escaped = True
         self._check_loss_spike(assoc, now, out)
-        self._check_dead_peer(
-            assoc, now, out,
-            force=escaped and self.config.escape_is_dead_peer,
-        )
+        self._check_dead_peer(assoc, now, out, force=escaped)
 
     def _check_loss_spike(
         self, assoc: Association, now: float, out: EndpointOutput
@@ -980,10 +1000,10 @@ class AlphaEndpoint:
     ) -> None:
         """Declare the peer dead after too many consecutive failures.
 
-        ``force`` (terminal rto-escape with ``escape_is_dead_peer``)
-        skips the consecutive-failure count — the probe budget already
-        proved the path black-holed — but still respects the
-        ``dead_peer_threshold <= 0`` master switch.
+        ``force`` (a terminal rto-escape) skips the consecutive-failure
+        count — the probe budget already proved the path black-holed —
+        but still respects the ``dead_peer_threshold <= 0`` master
+        switch.
         """
         threshold = self.config.dead_peer_threshold
         if threshold <= 0 or assoc.down or assoc.retired:

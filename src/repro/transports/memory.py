@@ -4,7 +4,9 @@ A :class:`MemoryNetwork` connects any number of endpoints (and optional
 relay engines between pairs) in one process with a manually advanced
 clock. Unlike the discrete-event simulator, delivery is immediate and
 deterministic in FIFO order, with optional scripted loss — the minimal
-harness for protocol logic, REPL experiments, and doctests.
+harness for protocol logic, REPL experiments, and doctests. Endpoints
+are polled only once ``next_deadline()`` has passed, the same rule
+every other event loop follows.
 """
 
 from __future__ import annotations
@@ -13,15 +15,19 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.core.endpoint import AlphaEndpoint
+from repro.core.endpoint import AlphaEndpoint, EndpointCarrier
 from repro.core.relay import RelayEngine
 
 
-@dataclass
-class _InFlight:
-    src: str
-    dst: str
-    payload: bytes
+class _Port(EndpointCarrier):
+    """One endpoint's attachment: its replies join the network queue."""
+
+    def __init__(self, endpoint: AlphaEndpoint, queue: deque) -> None:
+        super().__init__(endpoint)
+        self._queue = queue
+
+    def _transmit(self, dest: str, payload: bytes) -> None:
+        self._queue.append((self.endpoint.name, dest, payload))
 
 
 @dataclass
@@ -34,18 +40,17 @@ class MemoryNetwork:
 
     drop_filter: Callable[[str, str, bytes], bool] | None = None
     now: float = 0.0
-    _endpoints: dict[str, AlphaEndpoint] = field(default_factory=dict)
+    _ports: dict[str, _Port] = field(default_factory=dict)
     #: Relay engines inspecting traffic between a named pair, in order.
     _relay_paths: dict[tuple[str, str], list[RelayEngine]] = field(default_factory=dict)
+    #: ``(src, dst, payload)`` packets in flight, delivered FIFO.
     _queue: deque = field(default_factory=deque)
-    delivered: list[tuple[str, bytes]] = field(default_factory=list)
-    reports: list = field(default_factory=list)
     dropped_by_relay: int = 0
 
     def add_endpoint(self, endpoint: AlphaEndpoint) -> AlphaEndpoint:
-        if endpoint.name in self._endpoints:
+        if endpoint.name in self._ports:
             raise ValueError(f"duplicate endpoint {endpoint.name!r}")
-        self._endpoints[endpoint.name] = endpoint
+        self._ports[endpoint.name] = _Port(endpoint, self._queue)
         return endpoint
 
     def add_relays(self, a: str, b: str, engines: list[RelayEngine]) -> None:
@@ -55,12 +60,12 @@ class MemoryNetwork:
 
     def connect(self, initiator: str, responder: str) -> None:
         """Run the HS1/HS2 handshake between two registered endpoints."""
-        _, hs1 = self._endpoints[initiator].connect(responder, now=self.now)
-        self._enqueue(initiator, responder, hs1)
+        port = self._ports[initiator]
+        port._transmit(*port.endpoint.connect(responder, now=self.now))
         self.run()
 
     def send(self, src: str, dst: str, message: bytes) -> None:
-        self._endpoints[src].send(dst, message)
+        self._ports[src].endpoint.send(dst, message)
         self.run()
 
     def advance(self, seconds: float) -> None:
@@ -70,57 +75,33 @@ class MemoryNetwork:
         self.now += seconds
         self.run()
 
-    # -- internals ---------------------------------------------------------------
-
-    def _enqueue(self, src: str, dst: str, payload: bytes) -> None:
-        self._queue.append(_InFlight(src, dst, payload))
-
-    def _relays_between(self, src: str, dst: str) -> list[RelayEngine]:
-        return self._relay_paths.get((src, dst), [])
-
     def run(self, max_steps: int = 10_000) -> None:
-        """Deliver queued packets and poll endpoints until quiescent."""
-        steps = 0
-        while steps < max_steps:
-            steps += 1
-            progressed = False
-            # Poll everyone for timer-driven output.
-            for endpoint in self._endpoints.values():
-                out = endpoint.poll(self.now)
-                for dst, payload in out.replies:
-                    self._enqueue(endpoint.name, dst, payload)
-                    progressed = True
-                self._absorb(endpoint.name, out)
+        """Deliver queued packets and wake due endpoints until quiescent."""
+        for _ in range(max_steps):
+            for port in self._ports.values():
+                due = port.endpoint.next_deadline()
+                if due is not None and due <= self.now:
+                    port._dispatch(port.endpoint.poll(self.now))
+            if not self._queue:
+                return
             while self._queue:
-                item = self._queue.popleft()
-                progressed = True
+                src, dst, payload = self._queue.popleft()
                 if self.drop_filter is not None and self.drop_filter(
-                    item.src, item.dst, item.payload
+                    src, dst, payload
                 ):
                     continue
-                forwarded = True
-                for engine in self._relays_between(item.src, item.dst):
-                    if not engine.handle(item.payload, item.src, item.dst, self.now).forward:
-                        forwarded = False
-                        self.dropped_by_relay += 1
-                        break
-                if not forwarded:
+                if not all(
+                    engine.handle(payload, src, dst, self.now).forward
+                    for engine in self._relay_paths.get((src, dst), ())
+                ):
+                    self.dropped_by_relay += 1
                     continue
-                receiver = self._endpoints.get(item.dst)
-                if receiver is None:
-                    continue
-                out = receiver.on_packet(item.payload, item.src, self.now)
-                for dst, payload in out.replies:
-                    self._enqueue(item.dst, dst, payload)
-                self._absorb(item.dst, out)
-            if not progressed:
-                return
+                receiver = self._ports.get(dst)
+                if receiver is not None:
+                    receiver._dispatch(
+                        receiver.endpoint.on_packet(payload, src, self.now)
+                    )
         raise RuntimeError("memory network failed to quiesce")
 
-    def _absorb(self, name: str, out) -> None:
-        for peer, message in out.delivered:
-            self.delivered.append((name, message.message))
-        self.reports.extend(out.reports)
-
     def received_by(self, name: str) -> list[bytes]:
-        return [m for n, m in self.delivered if n == name]
+        return [message for _, message in self._ports[name].received]

@@ -1,11 +1,8 @@
-"""Reactor: one ``selectors`` loop multiplexing many UDP transports.
+"""Reactor: the one real-socket event loop.
 
-``UdpTransport.pump`` is a fine event loop for one endpoint, but it
-owns a private selector and a private timeout — running N transports
-means N sequential ``select()`` calls per turn, each paying its full
-timeout even when another socket is already readable. The reactor
-inverts that: every registered transport's socket sits in one selector,
-and each :meth:`Reactor.run_once` turn
+Every registered transport's socket sits in one ``selectors`` selector
+— a single endpoint is simply a one-transport reactor — and each
+:meth:`Reactor.run_once` turn
 
 1. computes the select timeout from the earliest pending endpoint
    deadline across *all* transports (``UdpTransport.next_deadline``,
@@ -13,8 +10,8 @@ and each :meth:`Reactor.run_once` turn
 2. drains readable sockets through ``service_socket`` (each bounded by
    its per-turn datagram budget, so one flooded socket cannot starve
    the rest), and
-3. runs ``service_timers`` only on endpoints that actually have due
-   work (``AlphaEndpoint.needs_service``).
+3. runs ``service_timers`` only on endpoints whose
+   ``AlphaEndpoint.next_deadline()`` has passed.
 
 Step 3 is what makes 10k mostly-idle associations cheap: an idle
 endpoint contributes neither a select wakeup nor a poll scan.
@@ -61,7 +58,7 @@ class Reactor:
         return transport
 
     def remove(self, transport: UdpTransport) -> None:
-        """Unregister a transport (it stays open; pump it yourself)."""
+        """Unregister a transport; it stays open for another reactor."""
         self._transports.remove(transport)
         self._selector.unregister(transport.fileno())
 
@@ -92,7 +89,8 @@ class Reactor:
             processed += key.data.service_socket()
         now = self._clock()
         for transport in self._transports:
-            if transport.endpoint.needs_service(now):
+            due = transport.endpoint.next_deadline()
+            if due is not None and due <= now:
                 transport.service_timers()
         if self.telemetry.enabled:
             self.telemetry.record_turn(

@@ -1,21 +1,18 @@
 """UDP transport: ALPHA over real sockets.
 
-Runs one :class:`~repro.core.endpoint.AlphaEndpoint` on a UDP socket
-using :mod:`selectors` (no asyncio, no threads). Peer names map to
+Binds one :class:`~repro.core.endpoint.AlphaEndpoint` to a
+non-blocking UDP socket (no asyncio, no threads). Peer names map to
 ``(host, port)`` addresses via an explicit directory — ALPHA identities
 are hash chains, not addresses, so the mapping is pure transport
 plumbing (and may change mid-association, e.g. after a HIP-style
 locator update).
 
-A transport can be driven two ways:
-
-- standalone, via :meth:`UdpTransport.pump` — one select + read + timer
-  turn, the historical single-endpoint loop;
-- multiplexed, by registering it with a
-  :class:`~repro.transports.reactor.Reactor`, which owns one selector
-  across many transports and calls :meth:`service_socket` /
-  :meth:`service_timers` as readiness and deadlines demand
-  (PROTOCOL.md §15).
+A transport owns no event loop. A
+:class:`~repro.transports.reactor.Reactor` drives it — one selector
+across any number of transports, a single endpoint being just a
+one-transport reactor — calling :meth:`service_socket` when the socket
+is readable and :meth:`service_timers` at the endpoint's next deadline
+(PROTOCOL.md §15).
 
 The test suite exercises this over loopback; a real deployment would
 bind it to a mesh interface. Relays would run
@@ -25,10 +22,9 @@ of their OS — out of scope here (DESIGN.md substitution table).
 
 from __future__ import annotations
 
-import selectors
 import socket
 
-from repro.core.endpoint import AlphaEndpoint
+from repro.core.endpoint import AlphaEndpoint, EndpointCarrier
 from repro.core.resilience import ExchangeFailed, ResilienceStats
 from repro.obs import EventKind
 from repro.obs.telemetry import live_clock
@@ -36,8 +32,8 @@ from repro.obs.telemetry import live_clock
 _MAX_DATAGRAM = 65507
 
 
-class UdpTransport:
-    """Binds an endpoint to a UDP socket and pumps it."""
+class UdpTransport(EndpointCarrier):
+    """Binds an endpoint to a UDP socket; a reactor drives it."""
 
     def __init__(
         self,
@@ -48,7 +44,7 @@ class UdpTransport:
     ) -> None:
         if max_datagrams_per_turn < 1:
             raise ValueError("need a positive per-turn datagram budget")
-        self.endpoint = endpoint
+        super().__init__(endpoint)
         #: The endpoint's observability context (tracer + registry);
         #: disabled unless the endpoint enabled it.
         self.obs = endpoint.obs
@@ -61,14 +57,9 @@ class UdpTransport:
         self._socket = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._socket.bind(bind)
         self._socket.setblocking(False)
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(self._socket, selectors.EVENT_READ)
         # name -> (host, port); address -> name for inbound mapping.
         self._peer_addresses: dict[str, tuple[str, int]] = {}
         self._names_by_address: dict[tuple[str, int], str] = {}
-        self.received: list[tuple[str, bytes]] = []
-        self.reports: list = []
-        self.failures: list = []
         #: Transport-level counters: malformed datagrams, unknown-source
         #: drops, unroutable sends.
         self.stats = ResilienceStats()
@@ -79,7 +70,7 @@ class UdpTransport:
         return self._socket.getsockname()
 
     def fileno(self) -> int:
-        """The socket's file descriptor (for external selector loops)."""
+        """The socket's file descriptor (what the reactor selects on)."""
         return self._socket.fileno()
 
     def register_peer(self, name: str, address: tuple[str, int]) -> None:
@@ -97,28 +88,14 @@ class UdpTransport:
         self._transmit(peer, payload)
 
     def send(self, peer: str, message: bytes) -> None:
+        """Queue a message; the reactor's next turn starts it."""
         self.endpoint.send(peer, message)
-        self.pump(0.0)
-
-    def pump(self, timeout_s: float = 0.05) -> int:
-        """One IO iteration: read ready datagrams, drive the engine.
-
-        Returns the number of datagrams processed. Call in a loop (or
-        from :meth:`run_until`) — this is the sans-IO event loop turn.
-        """
-        if self.closed:
-            raise RuntimeError("transport is closed")
-        processed = 0
-        if self._selector.select(timeout_s):
-            processed = self.service_socket()
-        self.service_timers()
-        return processed
 
     def service_socket(self) -> int:
         """Drain up to the per-turn budget of ready datagrams.
 
-        Reactor-facing half of :meth:`pump`: called when the socket is
-        readable; never blocks. Returns the number of datagrams read.
+        Called when the socket is readable; never blocks. Returns the
+        number of datagrams read.
         """
         if self.closed:
             raise RuntimeError("transport is closed")
@@ -155,7 +132,7 @@ class UdpTransport:
                 out = self.endpoint.on_packet(data, src, self._clock())
             except Exception:
                 # A malformed or hostile datagram must never take the
-                # event loop down: drop it, count it, keep pumping.
+                # event loop down: drop it, count it, keep reading.
                 # (The endpoint already swallows clean PacketErrors;
                 # this guards against parse bugs deeper in the stack.)
                 self.stats.malformed_drops += 1
@@ -180,20 +157,9 @@ class UdpTransport:
         """Earliest endpoint timer — the reactor's select-timeout bound."""
         return self.endpoint.next_deadline()
 
-    def run_until(self, predicate, timeout_s: float = 5.0, step_s: float = 0.02) -> bool:
-        """Pump until ``predicate()`` is true or the deadline passes."""
-        deadline = self._clock() + timeout_s
-        while self._clock() < deadline:
-            self.pump(step_s)
-            if predicate():
-                return True
-        return predicate()
-
     def close(self) -> None:
         if not self.closed:
-            self._selector.unregister(self._socket)
             self._socket.close()
-            self._selector.close()
             self.closed = True
 
     def __enter__(self) -> "UdpTransport":
@@ -210,14 +176,6 @@ class UdpTransport:
         total.merge(self.stats)
         total.merge(self.endpoint.resilience_stats())
         return total
-
-    def _dispatch(self, out) -> None:
-        for peer, payload in out.replies:
-            self._transmit(peer, payload)
-        for peer, message in out.delivered:
-            self.received.append((peer, message.message))
-        self.reports.extend(out.reports)
-        self.failures.extend(out.failures)
 
     def _transmit(self, peer: str, payload: bytes) -> None:
         address = self._peer_addresses.get(peer)

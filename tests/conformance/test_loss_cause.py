@@ -151,7 +151,7 @@ class TestLedgerSeeding:
             loss=0.25,
             seed=5,
             messages=16,
-            chain_length=12,
+            chain_length=18,
             rekey_threshold=8,
             spacing_s=4.0,
         )
@@ -175,7 +175,7 @@ class TestLedgerSeeding:
             loss=0.25,
             seed=5,
             messages=16,
-            chain_length=12,
+            chain_length=18,
             rekey_threshold=8,
             spacing_s=4.0,
         )
@@ -192,7 +192,7 @@ class TestLedgerSeeding:
             loss=0.0,
             seed=5,
             messages=16,
-            chain_length=12,
+            chain_length=18,
             rekey_threshold=8,
             spacing_s=2.0,
         )

@@ -421,6 +421,20 @@ class TestLedgerSeeding:
         feed_traffic(signer, packets=20, retransmits=10)
         assert ctl.poll(0.6) is not None
 
+    def test_seed_holds_while_idle(self, sha1, rng):
+        signer = make_signer(sha1, rng)
+        ctl = AdaptiveController(signer, CFG, link=self.make_lossy_link())
+        ctl.seed_from_link(0.0)
+        # Idle ticks (empty queue, nothing sent) would target BASE; the
+        # seed stands until the association has carried traffic.
+        for tick in range(1, 6):
+            assert ctl.poll(tick * 0.5) is None
+        assert signer.config.mode is Mode.MERKLE
+        assert [d.kind for d in ctl.decisions] == ["seed"]
+        feed_traffic(signer, packets=20, retransmits=0)
+        applied = ctl.poll(3.0)
+        assert applied is not None and applied.mode is Mode.BASE
+
     def test_unknown_link_seeds_nothing(self, sha1, rng):
         signer = make_signer(sha1, rng)
         ctl = AdaptiveController(signer, CFG, link=LinkHealth("v"))

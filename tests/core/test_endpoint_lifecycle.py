@@ -16,6 +16,8 @@ embarrassing:
 import gc
 import weakref
 
+import pytest
+
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.packets import PacketType
 
@@ -113,6 +115,57 @@ class TestDrainReleasesBothMaps:
         for endpoint in (a, b):
             for assoc in endpoint._by_peer.values():
                 assert endpoint._by_id.get(assoc.assoc_id) is assoc
+
+
+class TestSupersededAssociation:
+    def test_superseded_association_still_delivers_in_flight_s2(self):
+        # The peer re-keys while an exchange on the old association is
+        # in flight. The responder's signer is idle, yet its next poll
+        # must not discard the old association: the S2 still arriving
+        # on it has to be delivered.
+        config = EndpointConfig(chain_length=12, rekey_threshold=2)
+        a = AlphaEndpoint("a", config, seed=11)
+        b = AlphaEndpoint("b", config, seed=12)
+        establish(a, b)
+        old_id = a.association("b").assoc_id
+        now = 0.0
+        for i in range(3):
+            a.send("b", b"early-%d" % i)
+            now += 0.1
+            pump(a, b, now)
+        # The fourth exchange crosses the re-key threshold: its S1 and
+        # the replacement's HS1 leave in the same turn.
+        a.send("b", b"in-flight")
+        now += 0.1
+        sent = {packet_type(data): data for _d, data in a.poll(now).replies}
+        assert set(sent) == {PacketType.S1, PacketType.HS1}
+        (_d, a1), = b.on_packet(sent[PacketType.S1], "a", now).replies
+        b.on_packet(sent[PacketType.HS1], "a", now)
+        assert b.association("a").assoc_id != old_id
+        b.poll(now)
+        (_d, s2), = a.on_packet(a1, "b", now).replies
+        assert packet_type(s2) is PacketType.S2
+        out = b.on_packet(s2, "a", now)
+        assert [m.message for _p, m in out.delivered] == [b"in-flight"]
+        # Once quiet for the retry budget, the old association goes.
+        assert old_id in b._by_id
+        b.poll(now + b._retry_budget_s())
+        assert old_id not in b._by_id
+
+
+class TestRekeyLoopRejected:
+    def test_threshold_at_fresh_chain_runway_is_rejected(self):
+        # chain_length=8 supports 4 exchanges: with the default
+        # threshold of 4 every fresh association would re-key at once.
+        with pytest.raises(ValueError, match="rekey_threshold"):
+            EndpointConfig(chain_length=8)
+        with pytest.raises(ValueError, match="rekey_threshold"):
+            EndpointConfig(chain_length=12, rekey_threshold=8)
+
+    def test_runway_above_threshold_or_rekey_off_is_accepted(self):
+        EndpointConfig(chain_length=10)
+        EndpointConfig(chain_length=8, rekey_threshold=0)
+        EndpointConfig(chain_length=2, rekey_threshold=0)
 
 
 class TestExhaustionUnderRekey:

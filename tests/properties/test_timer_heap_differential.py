@@ -1,35 +1,48 @@
-"""Differential property test: deadline heap vs historical full scan.
+"""Differential property test: deadline heap vs a full scan.
 
 The deadline heap (PROTOCOL.md §15) claims to be a pure scheduling
-optimisation: ``poll(now)`` with ``deadline_heap=True`` must emit the
-same packets, deliveries, and failures as the historical
-every-association scan (``deadline_heap=False``), which stays in the
-code exactly as the differential oracle.
+optimisation: ``poll(now)`` must emit the same packets, deliveries, and
+failures as servicing *every* association every turn. The full scan
+lives here, as the test's reference world: its turn calls
+``_service_association`` on each association in installation order and
+ignores the heap and the dirty set entirely.
 
 Two worlds run the same randomized schedule — sends, time advances,
 deliveries, drops — on identically-seeded endpoint pairs. Only the
-*ordering* across associations inside one poll turn may differ (dict
-scan order vs heap pop order), so outputs are compared as sorted lists.
+*ordering* across associations inside one poll turn may differ, so
+outputs are compared as sorted lists.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.endpoint import AlphaEndpoint, EndpointConfig
+from repro.core.endpoint import AlphaEndpoint, EndpointConfig, EndpointOutput
 from repro.core.modes import ReliabilityMode
 
 
-def make_world(deadline_heap: bool, seed: int, config_kwargs: dict):
-    config = EndpointConfig(deadline_heap=deadline_heap, **config_kwargs)
+def make_world(full_scan: bool, seed: int, config_kwargs: dict):
+    config = EndpointConfig(**config_kwargs)
     a = AlphaEndpoint("a", config, seed=seed)
     b = AlphaEndpoint("b", config, seed=seed + 1)
-    return {"a": a, "b": b, "outbox": [], "delivered": [], "failures": []}
+    return {"a": a, "b": b, "outbox": [], "delivered": [], "failures": [],
+            "full_scan": full_scan}
+
+
+def scan_poll(endpoint, now):
+    """The reference turn: service every association, due or not."""
+    out = EndpointOutput()
+    for assoc in list(endpoint._by_id.values()):
+        endpoint._service_association(assoc, now, out)
+    return out
 
 
 def poll_world(world, now):
     """Poll both endpoints; return this turn's sorted observable output."""
     replies = []
     for name in ("a", "b"):
-        out = world[name].poll(now)
+        if world["full_scan"]:
+            out = scan_poll(world[name], now)
+        else:
+            out = world[name].poll(now)
         for dest, data in out.replies:
             replies.append((name, dest, data))
         world["delivered"].extend(
@@ -94,8 +107,8 @@ class TestDeadlineHeapDifferential:
             adaptive_rto=False,
             backoff_jitter=0.0,
         )
-        heap = make_world(True, seed, config_kwargs)
-        scan = make_world(False, seed, config_kwargs)
+        heap = make_world(False, seed, config_kwargs)
+        scan = make_world(True, seed, config_kwargs)
         for world in (heap, scan):
             _, hs1 = world["a"].connect("b")
             world["outbox"].append(("a", "b", hs1))

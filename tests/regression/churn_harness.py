@@ -300,7 +300,7 @@ def run_crash_restart(
     mode: Mode = Mode.BASE,
     batch: int = 1,
     messages: int = 16,
-    windows: tuple = ((0.007, 0.4), (0.6, 0.4)),
+    windows: tuple = ((0.007, 0.4), (0.45, 0.4)),
     journal: bool = True,
     messages_between: bool = True,
     event_budget: int = 100_000,
@@ -311,8 +311,12 @@ def run_crash_restart(
 
     ``windows`` is a tuple of ``(offset_s, down_for_s)`` crash windows
     relative to when the messages are submitted; the second window fires
-    while exchanges from the first are still re-anchoring. The relay is
-    strict (``forward_unknown=False``), so a state-lost restart
+    43 ms after the first restart, while exchanges from the first are
+    still re-anchoring. (It must come early: with endpoints woken at
+    their exact deadlines, ``crash-restart-cumulative-s7`` finishes
+    0.57 s after submission when only the first window fires.) The
+    relay is strict
+    (``forward_unknown=False``), so a state-lost restart
     (``journal=False``) black-holes every in-flight exchange — that
     variant is the pre-journal baseline the corpus proves fails.
     """

@@ -75,9 +75,10 @@ class TestReactor:
                 reactor.add(ta)
             reactor.remove(ta)
             assert reactor.transports == ()
-            # Removed transports stay usable standalone.
-            ta.pump(0.0)
-            ta.close()
+            # A removed transport stays open: another reactor drives it.
+            with Reactor() as other:
+                other.add(ta)
+                assert other.run_once(0.0) == 0
 
     def test_closed_reactor_refuses_turns(self):
         reactor = Reactor()

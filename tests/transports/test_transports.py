@@ -1,12 +1,14 @@
 """Transports: in-memory pipe and UDP over loopback."""
 
+import socket
+
 import pytest
 
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.modes import Mode, ReliabilityMode
 from repro.core.relay import RelayEngine
 from repro.crypto.hashes import get_hash
-from repro.transports import MemoryNetwork, UdpTransport
+from repro.transports import MemoryNetwork, Reactor, UdpTransport
 
 
 class TestMemoryNetwork:
@@ -20,7 +22,7 @@ class TestMemoryNetwork:
     def test_connect_and_send(self):
         net = self.make()
         net.connect("a", "b")
-        assert net._endpoints["a"].association("b").established
+        assert net._ports["a"].endpoint.association("b").established
         net.send("a", "b", b"hello")
         assert net.received_by("b") == [b"hello"]
 
@@ -75,55 +77,41 @@ class TestMemoryNetwork:
             net.advance(-1.0)
 
 
+def make_pair(config=None):
+    """Two loopback transports, each knowing the other, on one reactor."""
+    config = config or EndpointConfig(chain_length=256)
+    reactor = Reactor()
+    ta = reactor.add(UdpTransport(AlphaEndpoint("a", config, seed=11)))
+    tb = reactor.add(UdpTransport(AlphaEndpoint("b", config, seed=12)))
+    ta.register_peer("b", tb.address)
+    tb.register_peer("a", ta.address)
+    return reactor, ta, tb
+
+
+def establish(reactor, ta, tb):
+    ta.connect("b")
+    return reactor.run_until(
+        lambda: ta.endpoint.association("b").established
+        and tb.endpoint.association("a").established
+    )
+
+
 class TestUdpTransport:
-    def make_pair(self, config=None):
-        config = config or EndpointConfig(chain_length=256)
-        ta = UdpTransport(AlphaEndpoint("a", config, seed=11))
-        tb = UdpTransport(AlphaEndpoint("b", config, seed=12))
-        ta.register_peer("b", tb.address)
-        tb.register_peer("a", ta.address)
-        return ta, tb
-
-    def pump_both(self, ta, tb, predicate, timeout_s=5.0):
-        import time
-
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            ta.pump(0.01)
-            tb.pump(0.01)
-            if predicate():
-                return True
-        return predicate()
-
     def test_handshake_over_loopback(self):
-        ta, tb = self.make_pair()
-        try:
-            ta.connect("b")
-            ok = self.pump_both(
-                ta, tb, lambda: ta.endpoint.association("b").established
-            )
-            assert ok
-            assert tb.endpoint.association("a").established
-        finally:
-            ta.close()
-            tb.close()
+        reactor, ta, tb = make_pair()
+        with reactor:
+            assert establish(reactor, ta, tb)
 
     def test_protected_messages_over_loopback(self):
-        ta, tb = self.make_pair()
-        try:
-            ta.connect("b")
-            assert self.pump_both(
-                ta, tb, lambda: ta.endpoint.association("b").established
-            )
+        reactor, ta, tb = make_pair()
+        with reactor:
+            assert establish(reactor, ta, tb)
             for i in range(5):
                 ta.send("b", b"datagram-%d" % i)
-            assert self.pump_both(ta, tb, lambda: len(tb.received) == 5)
+            assert reactor.run_until(lambda: len(tb.received) == 5)
             assert sorted(m for _, m in tb.received) == sorted(
                 b"datagram-%d" % i for i in range(5)
             )
-        finally:
-            ta.close()
-            tb.close()
 
     def test_reliable_mode_over_loopback(self):
         config = EndpointConfig(
@@ -133,61 +121,57 @@ class TestUdpTransport:
             reliability=ReliabilityMode.RELIABLE,
             retransmit_timeout_s=0.1,
         )
-        ta, tb = self.make_pair(config)
-        try:
-            ta.connect("b")
-            assert self.pump_both(
-                ta, tb, lambda: ta.endpoint.association("b").established
-            )
+        reactor, ta, tb = make_pair(config)
+        with reactor:
+            assert establish(reactor, ta, tb)
             for i in range(3):
                 ta.send("b", b"tracked-%d" % i)
-            assert self.pump_both(ta, tb, lambda: len(ta.reports) == 3)
+            assert reactor.run_until(lambda: len(ta.reports) == 3)
             assert all(report.delivered for _, report in ta.reports)
-        finally:
-            ta.close()
-            tb.close()
+
+    def test_send_only_queues(self):
+        # The reactor is the only loop: a send touches no socket until
+        # the next turn wakes the endpoint at its (now due) deadline.
+        reactor, ta, tb = make_pair()
+        with reactor:
+            assert establish(reactor, ta, tb)
+            ta.send("b", b"queued")
+            assert ta.endpoint.next_deadline() == 0.0
+            assert tb.received == []
+            assert reactor.run_until(lambda: len(tb.received) == 1)
 
     def test_unknown_sender_ignored(self):
-        import socket
-
-        ta, _tb = self.make_pair()
-        try:
+        reactor, ta, _tb = make_pair()
+        with reactor:
             stranger = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
             stranger.sendto(b"junk from nowhere", ta.address)
-            ta.pump(0.1)
+            reactor.run_once(0.1)
             assert ta.received == []
             stranger.close()
-        finally:
-            ta.close()
-            _tb.close()
 
     def test_locator_update_rebinds_peer(self):
         # The HIP story: the peer moves; the directory is updated and
         # traffic continues on the same association.
-        ta, tb = self.make_pair()
-        try:
-            ta.connect("b")
-            assert self.pump_both(
-                ta, tb, lambda: ta.endpoint.association("b").established
-            )
+        reactor, ta, tb = make_pair()
+        with reactor:
+            assert establish(reactor, ta, tb)
             # b "moves": new socket, same endpoint state.
-            tc = UdpTransport(tb.endpoint)
+            reactor.remove(tb)
+            tb.close()
+            tc = reactor.add(UdpTransport(tb.endpoint))
             tc.register_peer("a", ta.address)
             ta.register_peer("b", tc.address)
             ta.send("b", b"after the move")
-            assert self.pump_both(ta, tc, lambda: len(tc.received) == 1)
+            assert reactor.run_until(lambda: len(tc.received) == 1)
             assert tc.received[0][1] == b"after the move"
-            tc.close()
-        finally:
-            ta.close()
-            tb.close()
 
     def test_closed_transport_refuses_pump(self):
-        ta, tb = self.make_pair()
-        ta.close()
-        tb.close()
+        reactor, ta, _tb = make_pair()
+        reactor.close()
         with pytest.raises(RuntimeError):
-            ta.pump()
+            ta.service_socket()
+        with pytest.raises(RuntimeError):
+            ta.service_timers()
 
     def test_unregistered_peer_connect_fails(self):
         ta = UdpTransport(AlphaEndpoint("solo", seed=5))
@@ -227,153 +211,108 @@ class TestMemoryNetworkRelayDrops:
 
 
 class TestUdpMalformedDatagrams:
-    def make_pair(self, config=None):
-        return TestUdpTransport.make_pair(self, config)
-
-    def pump_both(self, ta, tb, predicate, timeout_s=5.0):
-        return TestUdpTransport.pump_both(self, ta, tb, predicate, timeout_s)
-
     def test_garbage_from_known_peer_does_not_kill_the_pump(self):
-        ta, tb = self.make_pair()
-        try:
-            ta.connect("b")
-            assert self.pump_both(
-                ta, tb, lambda: ta.endpoint.association("b").established
-            )
+        reactor, ta, tb = make_pair()
+        with reactor:
+            assert establish(reactor, ta, tb)
             # Garbage from the *registered* peer address reaches the
             # engine (unknown senders are filtered earlier).
             for junk in (b"", b"\x00", b"\xff" * 200, b"A" * 65_000):
                 tb._socket.sendto(junk, ta.address)
-            ta.pump(0.2)
+            reactor.run_once(0.2)
             # The transport is still alive and real traffic still flows.
             ta.send("b", b"after-the-noise")
-            assert self.pump_both(ta, tb, lambda: len(tb.received) == 1)
+            assert reactor.run_until(lambda: len(tb.received) == 1)
             assert tb.received == [("a", b"after-the-noise")]
-        finally:
-            ta.close()
-            tb.close()
 
     def test_parser_escape_is_counted_not_fatal(self):
-        # The endpoint swallows clean PacketErrors itself; the pump's
-        # guard exists for anything that escapes deeper in the stack.
-        ta, tb = self.make_pair()
-        try:
-            ta.connect("b")
-            assert self.pump_both(
-                ta, tb, lambda: ta.endpoint.association("b").established
-            )
+        # The endpoint swallows clean PacketErrors itself; the
+        # transport's guard exists for anything that escapes deeper in
+        # the stack.
+        reactor, ta, tb = make_pair()
+        with reactor:
+            assert establish(reactor, ta, tb)
             real_on_packet = ta.endpoint.on_packet
             ta.endpoint.on_packet = lambda *a, **kw: (_ for _ in ()).throw(
                 RuntimeError("parse bug")
             )
             tb._socket.sendto(b"trigger", ta.address)
-            ta.pump(0.2)
+            reactor.run_once(0.2)
             assert ta.stats.malformed_drops == 1
             assert not ta.closed
             ta.endpoint.on_packet = real_on_packet
             # Counter surfaces through the merged stats view too.
             assert ta.resilience_stats().malformed_drops == 1
             ta.send("b", b"recovered")
-            assert self.pump_both(ta, tb, lambda: len(tb.received) == 1)
-        finally:
-            ta.close()
-            tb.close()
+            assert reactor.run_until(lambda: len(tb.received) == 1)
 
 
 class TestUdpDropAccounting:
     """The silent-loss fixes: every dropped datagram is countable."""
 
-    def make_pair(self, config=None):
-        return TestUdpTransport.make_pair(self, config)
-
-    def pump_both(self, ta, tb, predicate, timeout_s=5.0):
-        return TestUdpTransport.pump_both(self, ta, tb, predicate, timeout_s)
-
     def test_unknown_source_drop_is_counted(self):
-        import socket
-
-        ta, tb = self.make_pair()
-        try:
+        reactor, ta, _tb = make_pair()
+        with reactor:
             stranger = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
             for _ in range(3):
                 stranger.sendto(b"junk from nowhere", ta.address)
-            ta.run_until(lambda: ta.stats.unknown_source_drops == 3,
-                         timeout_s=2.0)
+            reactor.run_until(lambda: ta.stats.unknown_source_drops == 3,
+                              timeout_s=2.0)
             assert ta.stats.unknown_source_drops == 3
             assert ta.resilience_stats().unknown_source_drops == 3
             assert ta.received == []
             stranger.close()
-        finally:
-            ta.close()
-            tb.close()
 
     def test_unroutable_transmit_surfaces_counter_and_failure(self):
-        ta, tb = self.make_pair()
-        try:
-            ta.connect("b")
-            assert self.pump_both(
-                ta, tb, lambda: ta.endpoint.association("b").established
-            )
+        reactor, ta, tb = make_pair()
+        with reactor:
+            assert establish(reactor, ta, tb)
             # The peer's address vanishes (directory wiped before a
             # locator update lands): sends must not black-hole silently.
             ta._peer_addresses.pop("b")
             ta.send("b", b"into the void")
-            ta.pump(0.05)
+            reactor.run_once(0.05)
             assert ta.stats.unroutable_drops >= 1
             peer, failure = ta.failures[-1]
             assert peer == "b"
             assert failure.reason == "no-peer-address"
             assert failure.messages  # the undeliverable payload rides along
-        finally:
-            ta.close()
-            tb.close()
 
 
 class TestUdpFloodBudget:
     """A datagram flood must not starve the endpoint's timers."""
 
     def test_per_turn_budget_bounds_the_drain(self):
-        from repro.core.endpoint import AlphaEndpoint
-
-        victim = UdpTransport(
-            AlphaEndpoint("victim", EndpointConfig(chain_length=64), seed=31),
-            max_datagrams_per_turn=16,
-        )
-        import socket
-
-        try:
+        with Reactor() as reactor:
+            victim = reactor.add(UdpTransport(
+                AlphaEndpoint("victim", EndpointConfig(chain_length=64), seed=31),
+                max_datagrams_per_turn=16,
+            ))
             flooder = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
             for _ in range(200):
                 flooder.sendto(b"flood", victim.address)
             # One turn reads at most the budget, even with 200 queued.
-            import time as _time
-
-            deadline = _time.monotonic() + 2.0
-            while _time.monotonic() < deadline:
-                if victim.pump(0.05) > 0:
-                    break
-            assert 0 < victim.stats.unknown_source_drops <= 16
+            assert reactor.run_until(
+                lambda: victim.stats.unknown_source_drops > 0, timeout_s=2.0
+            )
+            assert victim.stats.unknown_source_drops <= 16
             # Subsequent turns drain the rest; nothing is lost, only
             # deferred to later turns.
-            victim.run_until(
+            reactor.run_until(
                 lambda: victim.stats.unknown_source_drops == 200,
                 timeout_s=5.0,
             )
             assert victim.stats.unknown_source_drops == 200
             flooder.close()
-        finally:
-            victim.close()
 
     def test_flooded_socket_does_not_starve_retransmit_timers(self):
-        import socket
-
         config = EndpointConfig(
             chain_length=64, retransmit_timeout_s=0.05, max_retries=3
         )
-        ta = UdpTransport(
-            AlphaEndpoint("a", config, seed=33), max_datagrams_per_turn=8
-        )
-        try:
+        with Reactor() as reactor:
+            ta = reactor.add(UdpTransport(
+                AlphaEndpoint("a", config, seed=33), max_datagrams_per_turn=8
+            ))
             # Handshake toward a peer that never answers, while a
             # stranger floods the socket: HS1 retries must still burn
             # down and fail terminally (timer work kept its share of
@@ -391,15 +330,11 @@ class TestUdpFloodBudget:
                     f.reason == "handshake-timeout" for _p, f in ta.failures
                 )
 
-            assert ta.run_until(flood_and_check, timeout_s=5.0)
+            assert reactor.run_until(flood_and_check, timeout_s=5.0)
             assert ta.stats.unknown_source_drops > 0
             flooder.close()
             sink.close()
-        finally:
-            ta.close()
 
     def test_budget_must_be_positive(self):
-        from repro.core.endpoint import AlphaEndpoint
-
         with pytest.raises(ValueError):
             UdpTransport(AlphaEndpoint("x", seed=1), max_datagrams_per_turn=0)
