@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo gate: lint (when ruff is available) + the tier-1 test suite.
+# Repo gate: lint (when ruff is available) + the tier-1 test suite +
+# the perfbench tests.
 #
 #   scripts/check.sh            # what CI / a pre-commit hook should run
 #   scripts/check.sh --bench    # additionally diff bench snapshots
@@ -72,6 +73,11 @@ fi
 
 echo "== tier-1 tests =="
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q
+
+# The benchmark's own tests (tiny runs, span arithmetic, determinism)
+# live outside tests/, so the tier-1 run above does not collect them.
+echo "== perfbench tests =="
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest perfbench/tests -q
 
 if [ "$RUN_BENCH" = "1" ]; then
     # The suite above just wrote fresh results/bench/BENCH_*.json

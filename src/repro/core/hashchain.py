@@ -255,17 +255,28 @@ class ChainVerifier:
             value = raw((odd if index & 1 else even) + value)
             if index < trusted_index:
                 derived[index] = value
+        # Each step hashes a tag plus the previous value: the claimed
+        # element first, then ``gap - 1`` digests.
         self._hash.counter.record_hash_batch(
-            gap, sum(len(odd) + len(v) for v in (element.value, *derived.values())),
+            gap, gap * len(odd) + len(element.value) + (gap - 1) * len(value),
             "chain-verify",
         )
         if value != self.trusted.value:
             return False
         if commit:
-            self._derived.update(derived)
-            self._derived[trusted_index] = self.trusted.value
+            cache = self._derived
+            cache.update(derived)
+            cache[trusted_index] = self.trusted.value
             self.trusted = element
-            self._prune_derived()
+            # Keep the cache to (trusted, trusted + window]: an entry
+            # above that horizon could only verify with gap > window.
+            # Everything cached lies above the old trusted index, so
+            # only the ``gap`` slots the horizon just moved past can
+            # hold dead entries — an O(gap) prune, not a rebuild. The
+            # entry exactly at the new horizon stays claimable.
+            horizon = element.index + self.resync_window
+            for index in range(horizon + 1, horizon + gap + 1):
+                cache.pop(index, None)
         return True
 
     def verify_disclosure(self, element: ChainElement) -> bool:
@@ -300,26 +311,6 @@ class ChainVerifier:
             self._derived[element.index] = cached
             return False
         return True
-
-    def _prune_derived(self) -> None:
-        # Entries above the horizon can never verify again (a fresh
-        # element would need gap > resync_window); entries at or below
-        # the trusted index are unreachable (derived values are always
-        # strictly above the committed element). The trusted element
-        # itself lives in ``self.trusted``, never in this cache, so the
-        # prune cannot discard it — the filter below keeps every entry
-        # that a legal disclosure or pipelined identity token can still
-        # claim, including the one exactly at the horizon (a commit with
-        # gap == resync_window). Pruning runs on every commit: a lazy
-        # size-triggered prune would let dead entries linger forever on
-        # long-lived associations that never cross the trigger, so the
-        # cache size would not be a function of the window alone.
-        horizon = self.trusted.index + self.resync_window
-        self._derived = {
-            index: value
-            for index, value in self._derived.items()
-            if self.trusted.index < index <= horizon
-        }
 
     def require(self, element: ChainElement, commit: bool = True) -> None:
         """Like :meth:`verify` but raises on failure."""

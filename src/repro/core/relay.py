@@ -163,19 +163,14 @@ class _RelayExchange:
     pre_nacks: list[bytes] = field(default_factory=list)
     amt_root: bytes | None = None
     ack_key_value: bytes | None = None
-    verified_s2: set[int] = field(default_factory=set)
     #: Simulated time of the last packet that touched this exchange.
     last_seen: float = 0.0
+    #: Bytes held in the buffers below; see ``_ChannelObserver._resize``.
+    buffered_bytes: int = 0
     #: Proven Merkle interior nodes for this batch (PROTOCOL.md §14).
     #: Never journaled: a restored relay starts cold and re-proves from
     #: the re-presented S1 commitments.
     merkle_cache: MerkleVerifyCache = field(default_factory=MerkleVerifyCache)
-
-    @property
-    def buffered_bytes(self) -> int:
-        return sum(len(sig) for sig in self.pre_signatures) + sum(
-            len(h) for h in self.pre_acks + self.pre_nacks
-        ) + (len(self.amt_root) if self.amt_root else 0)
 
 
 class _ChannelObserver:
@@ -213,6 +208,13 @@ class _ChannelObserver:
         #: entry that outlives the exchange TTL degrades to a tombstone.
         self.recovering: dict[int, dict] = {}
         self.s1_allowance = config.initial_s1_allowance
+        #: Sum of every buffered exchange's ``buffered_bytes``, kept up
+        #: to date on admit, A1 fill and eviction (PROTOCOL.md §14.5).
+        self.buffered_bytes = 0
+        #: Lower bound on every ``last_seen`` and ``restored_at``, so no
+        #: entry has expired while ``now - _oldest <= ttl``. A stale
+        #: bound costs one extra scan, which recomputes it exactly.
+        self._oldest = float("-inf")
 
     def prune(self, now: float) -> None:
         """TTL + capacity eviction of the S1/A1 buffers.
@@ -222,7 +224,7 @@ class _ChannelObserver:
         age out, and the byte ceiling evicts oldest-first.
         """
         ttl = self.config.exchange_ttl_s
-        if ttl is not None:
+        if ttl is not None and now - self._oldest > ttl:
             expired = [
                 seq
                 for seq, exchange in self.exchanges.items()
@@ -242,6 +244,11 @@ class _ChannelObserver:
             for seq in stale:
                 del self.recovering[seq]
                 self._remember_tombstone(seq)
+            stamps = [exchange.last_seen for exchange in self.exchanges.values()]
+            stamps += [record["restored_at"] for record in self.recovering.values()]
+            self._oldest = min(stamps, default=now)
+        if now < self._oldest:  # every timestamp written next is ``now``
+            self._oldest = now
         self._enforce_byte_cap(now)
 
     def _remember_tombstone(self, seq: int) -> None:
@@ -252,7 +259,7 @@ class _ChannelObserver:
 
     def _evict(self, seq: int, now: float = 0.0, reason: str = "") -> None:
         """Drop buffered state for ``seq``, leaving a tombstone."""
-        del self.exchanges[seq]
+        self.buffered_bytes -= self.exchanges.pop(seq).buffered_bytes
         self._remember_tombstone(seq)
         if self._obs.enabled:
             self._obs.tracer.emit(
@@ -288,8 +295,12 @@ class _ChannelObserver:
             key=lambda seq: (self.exchanges[seq].last_seen, seq),
         )
 
-    def _touch(self, exchange: _RelayExchange, now: float) -> None:
-        exchange.last_seen = now
+    def _resize(self, exchange: _RelayExchange) -> None:
+        """Re-fix a buffered exchange's size after its buffers changed."""
+        buffers = exchange.pre_signatures + exchange.pre_acks + exchange.pre_nacks
+        size = sum(map(len, buffers)) + len(exchange.amt_root or b"")
+        self.buffered_bytes += size - exchange.buffered_bytes
+        exchange.buffered_bytes = size
 
     def _tombstone(self, seq: int, now: float, reason: str) -> RelayDecision:
         """Forward a tombstoned exchange's packet unverified, counted."""
@@ -432,6 +443,7 @@ class _ChannelObserver:
         del self.recovering[packet.seq]
         self.evicted.pop(packet.seq, None)
         self.exchanges[packet.seq] = exchange
+        self._resize(exchange)
         self.resilience.relay_reanchors += 1
         if self._obs.enabled:
             self._obs.tracer.emit(
@@ -460,7 +472,7 @@ class _ChannelObserver:
                 and existing.pre_signatures == packet.pre_signatures
             )
             if same:
-                self._touch(existing, now)
+                existing.last_seen = now
             return RelayDecision(same, "s1-retransmit" if same else "s1-mismatch")
         if packet.chain_index % 2 == 0:
             # Reformatting-attack defence: S1 tokens are odd-position
@@ -489,6 +501,7 @@ class _ChannelObserver:
             last_seen=now,
         )
         self.exchanges[packet.seq] = exchange
+        self._resize(exchange)
         self.resilience.relay_admits += 1
         if self._obs.enabled:
             self._obs.tracer.emit(
@@ -515,7 +528,7 @@ class _ChannelObserver:
             if self.config.strict:
                 return RelayDecision(False, "a1-unknown-exchange")
             return RelayDecision(True, "a1-unverified")
-        self._touch(exchange, now)
+        exchange.last_seen = now
         if exchange.a1_seen:
             # Duplicate A1 (answering an S1 retransmission): the chain
             # element was already consumed, just pass it along.
@@ -534,6 +547,7 @@ class _ChannelObserver:
             exchange.pre_acks = list(packet.pre_acks)
             exchange.pre_nacks = list(packet.pre_nacks)
             exchange.amt_root = packet.amt_root
+            self._resize(exchange)
             self.s1_allowance = min(
                 self.s1_allowance * 2, self.config.max_s1_allowance
             )
@@ -553,6 +567,7 @@ class _ChannelObserver:
         exchange.pre_acks = list(packet.pre_acks)
         exchange.pre_nacks = list(packet.pre_nacks)
         exchange.amt_root = packet.amt_root
+        self._resize(exchange)
         # The destination was willing: grow the sender's S1 allowance.
         self.s1_allowance = min(self.s1_allowance * 2, self.config.max_s1_allowance)
         return RelayDecision(True, "a1-ok", verified=True)
@@ -567,7 +582,7 @@ class _ChannelObserver:
             if self.config.strict:
                 return RelayDecision(False, "s2-unknown-exchange")
             return RelayDecision(True, "s2-unverified")
-        self._touch(exchange, now)
+        exchange.last_seen = now
         if (
             self.config.require_a1_for_s2
             and not exchange.a1_seen
@@ -587,7 +602,6 @@ class _ChannelObserver:
             return RelayDecision(False, "s2-key-mismatch")
         if not self._verify_s2_payload(exchange, packet):
             return RelayDecision(False, "s2-bad-payload")
-        exchange.verified_s2.add(packet.msg_index)
         extracted = [
             ExtractedMessage(
                 assoc_id=packet.assoc_id,
@@ -609,7 +623,7 @@ class _ChannelObserver:
             if self.config.strict:
                 return RelayDecision(False, "a2-unknown-exchange")
             return RelayDecision(True, "a2-unverified")
-        self._touch(exchange, now)
+        exchange.last_seen = now
         if exchange.expected_a1 is not None and not exchange.pre_acks:
             # Re-anchored but the repeated A1 (with the pre-ack buffers)
             # has not come past yet: an A2 racing it cannot be judged,
@@ -677,10 +691,6 @@ class _ChannelObserver:
             else exchange.pre_nacks[verdict.msg_index]
         )
         return self._hash.digest(key + tag + verdict.secret, label="relay-ack-verify") == expected
-
-    @property
-    def buffered_bytes(self) -> int:
-        return sum(ex.buffered_bytes for ex in self.exchanges.values())
 
 
 @dataclass
@@ -880,23 +890,13 @@ class RelayEngine:
     def handle(self, data: bytes, src: str, dst: str, now: float) -> RelayDecision:
         """Decide whether to forward one transit packet."""
         try:
-            packet_type = peek_type(data)
-        except PacketError:
-            return self._count(RelayDecision(True, "not-alpha"))
-        if packet_type is PacketType.HS1:
-            return self._count(self._on_hs1(data, src))
-        if packet_type is PacketType.HS2:
-            return self._count(self._on_hs2(data, src))
-        try:
             packet = decode_packet(data, self._hash.digest_size)
         except PacketError:
-            self.resilience.corrupt_drops += 1
-            if self._obs.enabled:
-                self._obs.tracer.emit(
-                    now, self.name, EventKind.PARSE_DROP, info="relay"
-                )
-                self._obs.registry.counter("relay.parse_drops").inc()
-            return self._count(RelayDecision(False, "malformed"))
+            return self._count(self._undecodable(data, now))
+        if isinstance(packet, HandshakePacket):
+            if packet.is_response:
+                return self._count(self._on_hs2(packet, src))
+            return self._count(self._on_hs1(packet, src))
         assoc = self._associations.get(packet.assoc_id)
         if assoc is None:
             if not self.config.forward_unknown:
@@ -954,24 +954,31 @@ class RelayEngine:
         if isinstance(packet, A1Packet):
             channel = assoc.reverse_channel if from_initiator else assoc.forward_channel
             return channel.on_a1(packet, now)
-        if isinstance(packet, A2Packet):
-            channel = assoc.reverse_channel if from_initiator else assoc.forward_channel
-            return channel.on_a2(packet, now)
-        return RelayDecision(True, "handshake")
+        channel = assoc.reverse_channel if from_initiator else assoc.forward_channel
+        return channel.on_a2(packet, now)
 
-    def _on_hs1(self, data: bytes, src: str) -> RelayDecision:
+    def _undecodable(self, data: bytes, now: float) -> RelayDecision:
+        """Judge an unparsable packet by its header: not ALPHA passes, a
+        broken handshake drops, a broken S1/A1/S2/A2 drops as corrupt."""
         try:
-            packet = decode_packet(data, self._hash.digest_size)
+            packet_type = peek_type(data)
         except PacketError:
+            return RelayDecision(True, "not-alpha")
+        if packet_type is PacketType.HS1:
             return RelayDecision(False, "malformed-hs1")
+        if packet_type is PacketType.HS2:
+            return RelayDecision(False, "malformed-hs2")
+        self.resilience.corrupt_drops += 1
+        if self._obs.enabled:
+            self._obs.tracer.emit(now, self.name, EventKind.PARSE_DROP, info="relay")
+            self._obs.registry.counter("relay.parse_drops").inc()
+        return RelayDecision(False, "malformed")
+
+    def _on_hs1(self, packet: HandshakePacket, src: str) -> RelayDecision:
         self._pending_hs1[packet.assoc_id] = (src, packet)
         return RelayDecision(True, "hs1-observed")
 
-    def _on_hs2(self, data: bytes, src: str) -> RelayDecision:
-        try:
-            packet = decode_packet(data, self._hash.digest_size)
-        except PacketError:
-            return RelayDecision(False, "malformed-hs2")
+    def _on_hs2(self, packet: HandshakePacket, src: str) -> RelayDecision:
         pending = self._pending_hs1.get(packet.assoc_id)
         if pending is None:
             return RelayDecision(True, "hs2-without-hs1")

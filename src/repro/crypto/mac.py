@@ -13,8 +13,9 @@ from typing import Callable
 
 from repro.crypto.hashes import HashFunction, get_hash
 
-_IPAD = 0x36
-_OPAD = 0x5C
+#: ``key.translate`` tables: byte ``k`` maps to ``k ^ 0x36`` / ``k ^ 0x5C``.
+_IPAD = bytes(k ^ 0x36 for k in range(256))
+_OPAD = bytes(k ^ 0x5C for k in range(256))
 
 
 def hmac_raw(
@@ -27,8 +28,8 @@ def hmac_raw(
     if len(key) > block_size:
         key = raw_hash(key)
     key = key.ljust(block_size, b"\x00")
-    inner = raw_hash(bytes(k ^ _IPAD for k in key) + message)
-    return raw_hash(bytes(k ^ _OPAD for k in key) + inner)
+    inner = raw_hash(key.translate(_IPAD) + message)
+    return raw_hash(key.translate(_OPAD) + inner)
 
 
 def hmac_digest(hash_name: str, key: bytes, message: bytes) -> bytes:

@@ -1,6 +1,7 @@
 """Role-bound hash chains (paper Sections 2.1, 3.2.1)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.exceptions import AuthenticationError, ChainExhaustedError
 from repro.core.hashchain import (
@@ -10,6 +11,8 @@ from repro.core.hashchain import (
     HashChain,
     SIGNATURE_TAGS,
 )
+from repro.crypto.drbg import DRBG
+from repro.crypto.hashes import OpCounter, get_hash
 
 
 def make(sha1, rng, length=64, tags=SIGNATURE_TAGS):
@@ -180,7 +183,7 @@ class TestResyncEdges:
     """Edge behaviour at the resync window and around cache pruning.
 
     Regression coverage for the interaction between gap-walk commits,
-    the derived-value cache, and ``_prune_derived``: a prune must never
+    the derived-value cache, and its prune on commit: a prune must never
     discard an entry a legal disclosure or pipelined identity token can
     still claim, and must never touch the trusted element (which lives
     in ``verifier.trusted``, not the cache).
@@ -266,3 +269,74 @@ class TestResyncEdges:
         # ... which then authenticates exactly once.
         assert verifier.consume_derived(chain.element(60))
         assert not verifier.consume_derived(chain.element(60))
+
+
+class TestDerivedCacheProperty:
+    """The O(gap) range prune keeps exactly the cache the full filter kept.
+
+    A model tracks which derived entries must exist: each commit adds
+    the values its gap walk passed (and the old trusted value), a
+    genuine ``consume_derived`` removes one, a forged one re-inserts
+    what it popped. After every operation the model is cut to the old
+    ``_prune_derived`` filter, ``trusted < i <= trusted + window``, and
+    the verifier's cache must equal it, value for value.
+    """
+
+    operations = st.lists(
+        st.tuples(
+            st.sampled_from(["commit", "commit", "disclose", "consume"]),
+            st.integers(min_value=-2, max_value=10),  # gap, or offset
+            st.booleans(),  # forged value
+        ),
+        max_size=40,
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(window=st.integers(min_value=1, max_value=8), ops=operations)
+    def test_cache_equals_the_window_filter(self, window, ops):
+        sha1 = get_hash("sha1", OpCounter())
+        chain = HashChain(sha1, DRBG(b"derived-cache").random_bytes(20), 512)
+        verifier = ChainVerifier(sha1, chain.anchor, resync_window=window)
+        model: dict[int, bytes] = {}
+        forgery = b"\xee" * 20
+        for op, n, forged in ops:
+            trusted = verifier.trusted.index
+            if op == "commit":
+                # n == window is the horizon edge; n > window must fail.
+                index = trusted - n
+                if not 1 <= index <= chain.length:
+                    continue
+                value = forgery if forged else chain.value_at(index)
+                ok = verifier.verify(ChainElement(index, value))
+                assert ok == (0 < n <= window and not forged)
+                if ok:
+                    model.update(
+                        (i, chain.value_at(i)) for i in range(index + 1, trusted + 1)
+                    )
+            else:
+                index = trusted + n
+                if not 1 <= index <= chain.length:
+                    continue
+                genuine = chain.value_at(index)
+                element = ChainElement(index, forgery if forged else genuine)
+                if op == "disclose":
+                    ok = verifier.verify_disclosure(element)
+                    if index in model:
+                        assert ok == (not forged)
+                    else:  # a fresh in-window commit, or nothing
+                        assert ok == (not forged and 0 < trusted - index <= window)
+                        if ok:
+                            model.update(
+                                (i, chain.value_at(i))
+                                for i in range(index + 1, trusted + 1)
+                            )
+                else:
+                    ok = verifier.consume_derived(element)
+                    assert ok == (index in model and not forged)
+                    if ok:
+                        del model[index]
+            trusted = verifier.trusted.index
+            model = {
+                i: v for i, v in model.items() if trusted < i <= trusted + window
+            }
+            assert verifier._derived == model

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.hashchain import ACKNOWLEDGMENT_TAGS, ChainVerifier, HashChain
 from repro.core.modes import Mode, ReliabilityMode
-from repro.core.packets import decode_packet
+from repro.core.packets import HandshakePacket, decode_packet
 from repro.core.relay import RelayConfig, RelayEngine
 from repro.core.signer import ChannelConfig, SignerSession
 from repro.core.verifier import VerifierSession
@@ -236,6 +236,59 @@ class TestFiltering:
             get_hash("sha1"), RelayConfig(forward_unknown=False)
         )
         assert not closed_relay.handle(packet.encode(), "s", "v", 0.0).forward
+
+
+class TestParseFailures:
+    """What a relay does with a frame it cannot parse, per header class.
+
+    No valid ALPHA header: someone else's traffic, forwarded. A broken
+    handshake: dropped, but not counted as corruption. A broken
+    S1/A1/S2/A2: dropped and counted in ``corrupt_drops``.
+    """
+
+    def frames(self, harness):
+        """One genuine S1 and S2 of an exchange, as the relay sees them."""
+        _, decisions = harness.run_exchange([b"payload"])
+        assert all(d.forward for d in decisions)
+        harness.signer.submit(b"next")
+        s1 = harness.signer.poll(0.0)[0]
+        a1 = harness.verifier.handle_s1(decode_packet(s1, H), 0.0)
+        s2 = harness.signer.handle_a1(decode_packet(a1, H), 0.0)[0]
+        return s1, s2
+
+    def test_bad_magic_forwarded_as_not_alpha(self, sha1, rng):
+        harness = Harness(sha1, rng)
+        s1, _ = self.frames(harness)
+        decision = harness.s_to_v(b"\x00\x00" + s1[2:])
+        assert decision.forward
+        assert decision.reason == "not-alpha"
+        assert harness.relay.resilience.corrupt_drops == 0
+
+    @pytest.mark.parametrize(
+        "is_response,reason", [(False, "malformed-hs1"), (True, "malformed-hs2")]
+    )
+    def test_truncated_handshake_dropped_uncounted(
+        self, sha1, rng, is_response, reason
+    ):
+        harness = Harness(sha1, rng)
+        frame = HandshakePacket(
+            ASSOC + 1, 0, is_response, "sha1", b"n" * 16, b"\x01" * H, 64,
+            b"\x02" * H, 64,
+        ).encode()
+        decision = harness.s_to_v(frame[: len(frame) // 2])
+        assert not decision.forward
+        assert decision.reason == reason
+        assert harness.relay.resilience.corrupt_drops == 0
+        assert harness.relay.association_count() == 1  # nothing learned
+
+    @pytest.mark.parametrize("leg", [0, 1], ids=["s1", "s2"])
+    def test_truncated_data_packet_counted_as_corrupt(self, sha1, rng, leg):
+        harness = Harness(sha1, rng)
+        frame = self.frames(harness)[leg]
+        decision = harness.s_to_v(frame[:-3])
+        assert not decision.forward
+        assert decision.reason == "malformed"
+        assert harness.relay.resilience.corrupt_drops == 1
 
 
 class TestFloodMitigation:
