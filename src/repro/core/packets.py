@@ -24,7 +24,7 @@ import enum
 import struct
 from dataclasses import dataclass, field
 
-from repro.core.exceptions import PacketError
+from repro.core.exceptions import PacketError, WireError
 from repro.core.modes import Mode
 from repro.core.wire import U16, U32, Reader, Writer
 
@@ -37,19 +37,21 @@ from repro.obs.linkhealth import LedgerSummary
 MAGIC = 0xA1FA
 VERSION = 1
 
-# -- hot-path encode machinery (PROTOCOL.md §14) -------------------------------
+# -- hot-path codec machinery (PROTOCOL.md §14) --------------------------------
 #
-# S1/A1/S2/A2 encode through precompiled ``struct.Struct`` header
-# formats packed directly into one reusable scratch buffer: the exact
-# packet size is computed up front, the fixed-layout prefix lands in a
-# single ``pack_into``, and hash-width fields are copied once by slice
-# assignment. No Writer part-list, no per-field ``struct.pack``
-# allocations, no join. The scratch grows monotonically and is reused
-# across calls (the engines are sans-IO and single-threaded per
-# process; the returned ``bytes`` is an immutable snapshot, so reuse
-# can never alias a live packet). Byte layout is IDENTICAL to the
-# Writer path — the golden corpus (tests/golden/) pins that.
+# S1/A1/S2/A2 encode into one reusable scratch buffer: the exact size is
+# computed up front, the fixed prefix lands in a single ``pack_into`` and
+# hash fields are copied by slice assignment. The scratch is reused
+# across calls (the engines are single-threaded; the returned ``bytes``
+# is a snapshot, so reuse never aliases a live packet). Decode mirrors
+# it: one ``unpack_from`` of the fixed prefix, header included, then
+# hash fields sliced from the ``bytes`` input. Only on failure does
+# ``_short`` work out the WireError a field-by-field
+# :class:`~repro.core.wire.Reader` raises. The golden corpus
+# (tests/golden/) pins the byte layout.
 
+#: magic u16 | version u8 | type u8  (decode_packet's dispatch key)
+_PREAMBLE = struct.Struct(">HBB")
 #: magic u16 | version u8 | type u8 | assoc_id u64 | seq u32
 _HEADER = struct.Struct(">HBBQI")
 #: header + mode u8 | flags u8 | chain_index u32  (S1 fixed prefix)
@@ -58,6 +60,10 @@ _S1_PREFIX = struct.Struct(">HBBQIBBI")
 _A1_PREFIX = struct.Struct(">HBBQIBI")
 #: header + disclosed_index u32  (S2/A2 fixed prefix)
 _DISCLOSE_PREFIX = struct.Struct(">HBBQII")
+#: S2 msg_index u16 | message length u16
+_U16_PAIR = struct.Struct(">HH")
+#: A2 verdict msg_index u16 | is_ack u8 | secret length u16
+_VERDICT_HEAD = struct.Struct(">HBH")
 
 _scratch = bytearray(2048)
 
@@ -69,6 +75,11 @@ def _scratch_for(size: int) -> bytearray:
     return _scratch
 
 
+def _check_width(value: bytes, width: int) -> None:
+    if len(value) != width:
+        raise ValueError(f"hash width mismatch: expected {width}, got {len(value)}")
+
+
 def _put_hash_list(
     buf: bytearray, offset: int, hashes: list[bytes], width: int
 ) -> int:
@@ -78,10 +89,7 @@ def _put_hash_list(
     U16.pack_into(buf, offset, len(hashes))
     offset += 2
     for value in hashes:
-        if len(value) != width:
-            raise ValueError(
-                f"hash width mismatch: expected {width}, got {len(value)}"
-            )
+        _check_width(value, width)
         buf[offset : offset + width] = value
         offset += width
     return offset
@@ -95,6 +103,40 @@ def _put_var_bytes(buf: bytearray, offset: int, data: bytes) -> int:
     offset += 2
     buf[offset : offset + len(data)] = data
     return offset + len(data)
+
+
+def _short(n: int, offset: int, widths: tuple[int, ...]) -> WireError:
+    """The WireError of the first field in ``widths``, laid out from
+    ``offset``, that overruns ``n`` bytes."""
+    for width in widths:
+        if offset + width > n:
+            break
+        offset += width
+    return WireError(offset, width, n - offset)
+
+
+def _hash_list(data: bytes, offset: int, width: int) -> tuple[list[bytes], int]:
+    """Slice a 16-bit counted list of ``width``-byte hashes; returns
+    the list and the offset just past it."""
+    n = len(data)
+    start = offset + 2
+    if start > n:
+        raise WireError(offset, 2, n - offset)
+    count = U16.unpack_from(data, offset)[0]
+    end = start + count * width
+    if end > n:
+        # The first element that does not fit, as a per-element loop says.
+        short = start + (n - start) // width * width
+        raise WireError(short, width, n - short)
+    if count > 1:
+        return [data[i : i + width] for i in range(start, end, width)], end
+    # BASE packets carry lists of zero or one: skip the comprehension.
+    return ([data[start:end]] if count else []), end
+
+
+def _expect_end(data: bytes, offset: int) -> None:
+    if offset != len(data):
+        raise PacketError(f"{len(data) - offset} trailing bytes after packet")
 
 
 class PacketType(enum.IntEnum):
@@ -125,21 +167,20 @@ def _header(packet_type: PacketType, assoc_id: int, seq: int) -> Writer:
     return writer
 
 
-def _read_header(reader: Reader) -> tuple[PacketType, int, int]:
-    magic = reader.u16()
-    if magic != MAGIC:
-        raise PacketError(f"bad magic 0x{magic:04x}")
-    version = reader.u8()
-    if version != VERSION:
-        raise PacketError(f"unsupported version {version}")
-    raw_type = reader.u8()
-    try:
-        packet_type = PacketType(raw_type)
-    except ValueError:
-        raise PacketError(f"unknown packet type {raw_type}") from None
-    assoc_id = reader.u64()
-    seq = reader.u32()
-    return packet_type, assoc_id, seq
+_MODES = {int(m): m for m in Mode}
+
+
+def _header_error(data: bytes) -> PacketError:
+    """Why ``data`` has no valid 16-byte header: bad magic, version or
+    type win over truncation, in wire order (error path only)."""
+    n = len(data)
+    if n >= 2 and U16.unpack_from(data)[0] != MAGIC:
+        return PacketError(f"bad magic 0x{U16.unpack_from(data)[0]:04x}")
+    if n >= 3 and data[2] != VERSION:
+        return PacketError(f"unsupported version {data[2]}")
+    if n >= 4 and data[3] not in _DECODERS:
+        return PacketError(f"unknown packet type {data[3]}")
+    return _short(n, 0, (2, 1, 1, 8, 4))
 
 
 @dataclass
@@ -180,28 +221,29 @@ class S1Packet:
         return bytes(memoryview(buf)[:offset])
 
     @classmethod
-    def decode_body(cls, reader: Reader, assoc_id: int, seq: int, hash_size: int) -> "S1Packet":
-        mode_raw = reader.u8()
-        try:
-            mode = Mode(mode_raw)
-        except ValueError:
-            raise PacketError(f"unknown mode {mode_raw}") from None
-        flags = reader.u8()
-        chain_index = reader.u32()
-        chain_element = reader.raw(hash_size)
-        message_count = reader.u16()
-        pre_signatures = reader.hash_list(hash_size)
+    def decode_body(cls, data: bytes, hash_size: int) -> "S1Packet":
+        n = len(data)
+        start = _S1_PREFIX.size
+        if n < start:
+            if n > 16 and data[16] not in _MODES:
+                raise PacketError(f"unknown mode {data[16]}")
+            raise _short(n, 4, (8, 4, 1, 1, 4))
+        _, _, _, assoc_id, seq, mode_raw, flags, chain_index = (
+            _S1_PREFIX.unpack_from(data)
+        )
+        mode = _MODES.get(mode_raw)
+        if mode is None:
+            raise PacketError(f"unknown mode {mode_raw}")
+        end = start + hash_size
+        if end + 2 > n:
+            raise _short(n, start, (hash_size, 2))
+        pre_signatures, offset = _hash_list(data, end + 2, hash_size)
         packet = cls(
-            assoc_id=assoc_id,
-            seq=seq,
-            mode=mode,
-            chain_index=chain_index,
-            chain_element=chain_element,
-            pre_signatures=pre_signatures,
-            message_count=message_count,
-            reliable=bool(flags & FLAG_RELIABLE),
+            assoc_id, seq, mode, chain_index, data[start:end], pre_signatures,
+            U16.unpack_from(data, end)[0], bool(flags & FLAG_RELIABLE),
         )
         packet.validate()
+        _expect_end(data, offset)
         return packet
 
     def validate(self) -> None:
@@ -258,7 +300,7 @@ class A1Packet:
             size += 4 + (len(self.pre_acks) + len(self.pre_nacks)) * h
         if self.amt_root is not None:
             flags |= FLAG_AMT_ROOT
-            size += len(self.amt_root)
+            size += h
         if self.telemetry is not None:
             flags |= FLAG_TELEMETRY
             size += LedgerSummary.SIZE
@@ -272,50 +314,52 @@ class A1Packet:
         offset += h
         U32.pack_into(buf, offset, self.echo_sig_index)
         offset += 4
+        _check_width(self.echo_sig_element, h)
         buf[offset : offset + h] = self.echo_sig_element
         offset += h
         if flags & FLAG_PRE_ACK_PAIR:
             offset = _put_hash_list(buf, offset, self.pre_acks, h)
             offset = _put_hash_list(buf, offset, self.pre_nacks, h)
         if flags & FLAG_AMT_ROOT:
-            root = self.amt_root
-            buf[offset : offset + len(root)] = root
-            offset += len(root)
+            _check_width(self.amt_root, h)
+            buf[offset : offset + h] = self.amt_root
+            offset += h
         if flags & FLAG_TELEMETRY:
             offset = self.telemetry.encode_into(buf, offset)
         return bytes(memoryview(buf)[:offset])
 
     @classmethod
-    def decode_body(cls, reader: Reader, assoc_id: int, seq: int, hash_size: int) -> "A1Packet":
-        flags = reader.u8()
-        ack_index = reader.u32()
-        ack_element = reader.raw(hash_size)
-        echo_sig_index = reader.u32()
-        echo_sig_element = reader.raw(hash_size)
-        pre_acks: list[bytes] = []
-        pre_nacks: list[bytes] = []
-        amt_root = None
-        telemetry = None
+    def decode_body(cls, data: bytes, hash_size: int) -> "A1Packet":
+        n = len(data)
+        start = _A1_PREFIX.size
+        if n < start:
+            raise _short(n, 4, (8, 4, 1, 4))
+        _, _, _, assoc_id, seq, flags, ack_index = _A1_PREFIX.unpack_from(data)
+        mid = start + hash_size
+        echo = mid + 4
+        offset = echo + hash_size
+        if offset > n:
+            raise _short(n, start, (hash_size, 4, hash_size))
+        pre_acks, pre_nacks, amt_root, telemetry = [], [], None, None
         if flags & FLAG_PRE_ACK_PAIR:
-            pre_acks = reader.hash_list(hash_size)
-            pre_nacks = reader.hash_list(hash_size)
+            pre_acks, offset = _hash_list(data, offset, hash_size)
+            pre_nacks, offset = _hash_list(data, offset, hash_size)
             if len(pre_acks) != len(pre_nacks):
                 raise PacketError("pre-acks and pre-nacks must pair up")
         if flags & FLAG_AMT_ROOT:
-            amt_root = reader.raw(hash_size)
+            if offset + hash_size > n:
+                raise WireError(offset, hash_size, n - offset)
+            amt_root = data[offset : offset + hash_size]
+            offset += hash_size
         if flags & FLAG_TELEMETRY:
-            telemetry = LedgerSummary.decode(reader)
+            if offset + LedgerSummary.SIZE > n:
+                raise _short(n, offset, (4, 4, 4, 4))
+            telemetry = LedgerSummary.unpack_from(data, offset)
+            offset += LedgerSummary.SIZE
+        _expect_end(data, offset)
         return cls(
-            assoc_id=assoc_id,
-            seq=seq,
-            ack_index=ack_index,
-            ack_element=ack_element,
-            echo_sig_index=echo_sig_index,
-            echo_sig_element=echo_sig_element,
-            pre_acks=pre_acks,
-            pre_nacks=pre_nacks,
-            amt_root=amt_root,
-            telemetry=telemetry,
+            assoc_id, seq, ack_index, data[start:mid], U32.unpack_from(data, mid)[0],
+            data[echo : echo + hash_size], pre_acks, pre_nacks, amt_root, telemetry,
         )
 
 
@@ -357,20 +401,25 @@ class S2Packet:
         return bytes(memoryview(buf)[:offset])
 
     @classmethod
-    def decode_body(cls, reader: Reader, assoc_id: int, seq: int, hash_size: int) -> "S2Packet":
-        disclosed_index = reader.u32()
-        disclosed_element = reader.raw(hash_size)
-        msg_index = reader.u16()
-        message = reader.var_bytes()
-        auth_path = reader.hash_list(hash_size)
+    def decode_body(cls, data: bytes, hash_size: int) -> "S2Packet":
+        n = len(data)
+        start = _DISCLOSE_PREFIX.size
+        if n < start:
+            raise _short(n, 4, (8, 4, 4))
+        _, _, _, assoc_id, seq, disclosed_index = _DISCLOSE_PREFIX.unpack_from(data)
+        mid = start + hash_size
+        body = mid + 4
+        if body > n:
+            raise _short(n, start, (hash_size, 2, 2))
+        msg_index, length = _U16_PAIR.unpack_from(data, mid)
+        end = body + length
+        if end > n:
+            raise WireError(body, length, n - body)
+        auth_path, offset = _hash_list(data, end, hash_size)
+        _expect_end(data, offset)
         return cls(
-            assoc_id=assoc_id,
-            seq=seq,
-            disclosed_index=disclosed_index,
-            disclosed_element=disclosed_element,
-            msg_index=msg_index,
-            message=message,
-            auth_path=auth_path,
+            assoc_id, seq, disclosed_index, data[start:mid], msg_index,
+            data[body:end], auth_path,
         )
 
 
@@ -419,24 +468,29 @@ class A2Packet:
         return bytes(memoryview(buf)[:offset])
 
     @classmethod
-    def decode_body(cls, reader: Reader, assoc_id: int, seq: int, hash_size: int) -> "A2Packet":
-        disclosed_index = reader.u32()
-        disclosed_element = reader.raw(hash_size)
-        count = reader.u16()
+    def decode_body(cls, data: bytes, hash_size: int) -> "A2Packet":
+        n = len(data)
+        start = _DISCLOSE_PREFIX.size
+        if n < start:
+            raise _short(n, 4, (8, 4, 4))
+        _, _, _, assoc_id, seq, disclosed_index = _DISCLOSE_PREFIX.unpack_from(data)
+        mid = start + hash_size
+        offset = mid + 2
+        if offset > n:
+            raise _short(n, start, (hash_size, 2))
         verdicts = []
-        for _ in range(count):
-            msg_index = reader.u16()
-            is_ack = bool(reader.u8())
-            secret = reader.var_bytes()
-            path = reader.hash_list(hash_size)
-            verdicts.append(AckVerdict(msg_index, is_ack, secret, path))
-        return cls(
-            assoc_id=assoc_id,
-            seq=seq,
-            disclosed_index=disclosed_index,
-            disclosed_element=disclosed_element,
-            verdicts=verdicts,
-        )
+        for _ in range(U16.unpack_from(data, mid)[0]):
+            body = offset + _VERDICT_HEAD.size
+            if body > n:
+                raise _short(n, offset, (2, 1, 2))
+            msg_index, is_ack, length = _VERDICT_HEAD.unpack_from(data, offset)
+            end = body + length
+            if end > n:
+                raise WireError(body, length, n - body)
+            path, offset = _hash_list(data, end, hash_size)
+            verdicts.append(AckVerdict(msg_index, bool(is_ack), data[body:end], path))
+        _expect_end(data, offset)
+        return cls(assoc_id, seq, disclosed_index, data[start:mid], verdicts)
 
 
 @dataclass
@@ -507,11 +561,13 @@ class HandshakePacket:
         return writer.getvalue()
 
     @classmethod
-    def decode_body(
-        cls, reader: Reader, assoc_id: int, seq: int, is_response: bool
-    ) -> "HandshakePacket":
-        # Protection is evident from the signature field; the telemetry
-        # bit gates the optional trailing summary.
+    def decode_body(cls, data: bytes, hash_size: int) -> "HandshakePacket":
+        # Self-describing (``hash_size`` is unused) and cold, so it reads
+        # field by field. Protection is evident from the signature field;
+        # the telemetry bit gates the optional trailing summary.
+        reader = Reader(data)
+        reader.u32()  # magic | version | type, checked by decode_packet
+        assoc_id, seq = reader.u64(), reader.u32()
         flags = reader.u8()
         try:
             hash_name = reader.var_bytes().decode("ascii")
@@ -530,10 +586,11 @@ class HandshakePacket:
             telemetry = LedgerSummary.decode(reader)
         if not sig_anchor or not ack_anchor:
             raise PacketError("handshake must carry both anchors")
+        reader.expect_end()
         return cls(
             assoc_id=assoc_id,
             seq=seq,
-            is_response=is_response,
+            is_response=data[3] == PacketType.HS2,
             hash_name=hash_name,
             nonce=nonce,
             sig_anchor=sig_anchor,
@@ -549,41 +606,49 @@ class HandshakePacket:
 
 AnyPacket = S1Packet | A1Packet | S2Packet | A2Packet | HandshakePacket
 
-_BODY_DECODERS = {
-    PacketType.S1: S1Packet.decode_body,
-    PacketType.A1: A1Packet.decode_body,
-    PacketType.S2: S2Packet.decode_body,
-    PacketType.A2: A2Packet.decode_body,
+#: Body decoders keyed by the raw type byte: no enum built per packet.
+_DECODERS = {
+    PacketType.HS1.value: HandshakePacket.decode_body,
+    PacketType.HS2.value: HandshakePacket.decode_body,
+    PacketType.S1.value: S1Packet.decode_body,
+    PacketType.A1.value: A1Packet.decode_body,
+    PacketType.S2.value: S2Packet.decode_body,
+    PacketType.A2.value: A2Packet.decode_body,
 }
+
+
+def _peek(data: bytes) -> tuple[PacketType, int]:
+    """Type and association id from the 16-byte header, in one unpack."""
+    if len(data) >= _HEADER.size:
+        magic, version, raw_type, assoc_id, _ = _HEADER.unpack_from(data)
+        if magic == MAGIC and version == VERSION and raw_type in _DECODERS:
+            return PacketType(raw_type), assoc_id
+    raise _header_error(data)
 
 
 def peek_type(data: bytes) -> PacketType:
     """Classify a packet without decoding its body."""
-    reader = Reader(data)
-    packet_type, _, _ = _read_header(reader)
-    return packet_type
+    return _peek(data)[0]
 
 
 def peek_assoc_id(data: bytes) -> int:
     """Read a packet's association id without decoding its body."""
-    reader = Reader(data)
-    _, assoc_id, _ = _read_header(reader)
-    return assoc_id
+    return _peek(data)[1]
 
 
 def decode_packet(data: bytes, hash_size: int) -> AnyPacket:
     """Decode any ALPHA packet.
 
     ``hash_size`` is the digest width of the association's negotiated
-    hash (ignored for the self-describing handshake packets).
+    hash (ignored for the self-describing handshake packets). Input
+    that is not ``bytes`` is copied once here, so every decoded field
+    is an immutable ``bytes`` slice.
     """
-    reader = Reader(data)
-    packet_type, assoc_id, seq = _read_header(reader)
-    if packet_type in (PacketType.HS1, PacketType.HS2):
-        packet = HandshakePacket.decode_body(
-            reader, assoc_id, seq, is_response=packet_type is PacketType.HS2
-        )
-    else:
-        packet = _BODY_DECODERS[packet_type](reader, assoc_id, seq, hash_size)
-    reader.expect_end()
-    return packet
+    if type(data) is not bytes:
+        data = bytes(data)
+    if len(data) >= 4:
+        magic, version, raw_type = _PREAMBLE.unpack_from(data)
+        decoder = _DECODERS.get(raw_type)
+        if decoder is not None and magic == MAGIC and version == VERSION:
+            return decoder(data, hash_size)
+    raise _header_error(data)

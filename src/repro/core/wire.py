@@ -15,10 +15,10 @@ parsing. The :class:`Reader` accepts any buffer (``bytes``,
 ``bytearray``, ``memoryview``) and never copies it; only fields that
 escape the parser (``raw``/``var_bytes``/``hash_list`` results) are
 materialized as ``bytes``, exactly one copy each, because decoded
-packets outlive the datagram buffer they were sliced from. The
-:class:`Writer` keeps the flexible part-list API for cold paths
-(handshakes); packet hot paths use the precompiled header structs in
-:mod:`repro.core.packets` instead.
+packets outlive the datagram buffer they were sliced from. Both
+classes serve the cold paths (handshakes, ledger summaries, baselines);
+S1/A1/S2/A2 encode and decode with one fixed-prefix struct each in
+:mod:`repro.core.packets` (PROTOCOL.md §14.2).
 """
 
 from __future__ import annotations

@@ -133,6 +133,7 @@ class Link:
         self._obs = obs if obs is not None else OBS_OFF
         self._obs_node = f"link:{node_a.name}|{node_b.name}"
         self.endpoints = (node_a, node_b)
+        self._peer = {node_a: node_b, node_b: node_a}
         self.rng = rng if rng is not None else DRBG(f"link:{node_a.name}|{node_b.name}")
         self._busy_until = {node_a.name: 0.0, node_b.name: 0.0}
         # Gilbert–Elliott channel state per direction; True means "bad".
@@ -151,16 +152,16 @@ class Link:
 
     def other(self, node: "Node") -> "Node":
         """The peer of ``node`` on this link."""
-        a, b = self.endpoints
-        if node is a:
-            return b
-        if node is b:
-            return a
-        raise ValueError(f"{node.name} is not an endpoint of this link")
+        peer = self._peer.get(node)
+        if peer is None:
+            raise ValueError(f"{node.name} is not an endpoint of this link")
+        return peer
 
     def transmit(self, frame: Frame, sender: "Node") -> None:
         """Send ``frame`` from ``sender`` towards the other endpoint."""
-        receiver = self.other(sender)
+        receiver = self._peer.get(sender)
+        if receiver is None:
+            raise ValueError(f"{sender.name} is not an endpoint of this link")
         if not self.up:
             self.frames_lost += 1
             if self._obs.enabled:
@@ -170,20 +171,21 @@ class Link:
                 )
                 self._obs.registry.counter("link.frames_lost").inc()
             return
+        name = sender.name
+        config = self.config
+        size = frame.size
         self.frames_sent += 1
-        self.bytes_sent += frame.size
+        self.bytes_sent += size
 
-        if self.config.bandwidth_bps is not None:
-            serialization = frame.size * 8 / self.config.bandwidth_bps
-        else:
-            serialization = 0.0
-        start = max(self.simulator.now, self._busy_until[sender.name])
-        done_sending = start + serialization
-        self._busy_until[sender.name] = done_sending
+        bandwidth = config.bandwidth_bps
+        serialization = size * 8 / bandwidth if bandwidth is not None else 0.0
+        now, busy = self.simulator.now, self._busy_until[name]
+        done_sending = (busy if busy > now else now) + serialization
+        self._busy_until[name] = done_sending
 
-        if self._draw_loss(sender.name):
+        if self._draw_loss(name):
             if self._obs.enabled:
-                burst = self._burst_bad[sender.name]
+                burst = self._burst_bad[name]
                 self._obs.tracer.emit(
                     self.simulator.now, self._obs_node, EventKind.LINK_LOSS,
                     info=f"{'burst' if burst else 'random'}"
@@ -192,7 +194,7 @@ class Link:
                 self._obs.registry.counter("link.frames_lost").inc()
             return
 
-        if self.config.corrupt_rate and self.rng.uniform() < self.config.corrupt_rate:
+        if config.corrupt_rate and self.rng.uniform() < config.corrupt_rate:
             frame = self._corrupt(frame)
             if self._obs.enabled:
                 self._obs.tracer.emit(
@@ -202,7 +204,7 @@ class Link:
                 self._obs.registry.counter("link.frames_corrupted").inc()
 
         self._schedule_arrival(frame, receiver, done_sending)
-        if self.config.duplicate_rate and self.rng.uniform() < self.config.duplicate_rate:
+        if config.duplicate_rate and self.rng.uniform() < config.duplicate_rate:
             self.frames_duplicated += 1
             if self._obs.enabled:
                 self._obs.tracer.emit(

@@ -2,6 +2,8 @@
 
 A binary-heap event queue with a simulated clock. Time is a float in
 seconds; ties are broken by insertion order so runs are deterministic.
+Heap entries are ``(time, seq, event)`` tuples, ordered by native
+float/int comparison; ``seq`` is unique, so events are never compared.
 """
 
 from __future__ import annotations
@@ -34,9 +36,6 @@ class Event:
         self.callback = None
         self.args = ()
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "cancelled" if self.cancelled else "pending"
         return f"Event(t={self.time:.6f}, seq={self.seq}, {status})"
@@ -58,7 +57,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, Event]] = []
         self._sequence = itertools.count()
         self.events_processed = 0
 
@@ -72,14 +71,15 @@ class Simulator:
         """Schedule ``callback(*args)`` at an absolute simulated time."""
         if time < self.now:
             raise ValueError(f"cannot schedule into the past (t={time} < now={self.now})")
-        event = Event(time, next(self._sequence), callback, args)
-        heapq.heappush(self._queue, event)
+        seq = next(self._sequence)
+        event = Event(time, seq, callback, args)
+        heapq.heappush(self._queue, (time, seq, event))
         return event
 
     def step(self) -> bool:
         """Run the next pending event. Returns False when none remain."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[2]
             if event.cancelled:
                 continue
             self.now = event.time
@@ -102,7 +102,7 @@ class Simulator:
         """
         processed = 0
         while self._queue:
-            head = self._queue[0]
+            head = self._queue[0][2]
             if head.cancelled:
                 heapq.heappop(self._queue)
                 continue
@@ -119,4 +119,4 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued."""
-        return sum(1 for event in self._queue if not event.cancelled)
+        return sum(1 for _, _, event in self._queue if not event.cancelled)

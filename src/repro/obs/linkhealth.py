@@ -120,6 +120,11 @@ class LedgerSummary:
         return bytes(buf)
 
     @classmethod
+    def unpack_from(cls, buf: bytes, offset: int) -> "LedgerSummary":
+        """Read from ``buf`` at ``offset``; the caller checks the bounds."""
+        return cls(*_LEDGER_SUMMARY.unpack_from(buf, offset))
+
+    @classmethod
     def decode(cls, reader) -> "LedgerSummary":
         """Read from a :class:`repro.core.wire.Reader`-shaped object."""
         return cls(

@@ -168,6 +168,20 @@ class TestPacketCodec:
         with pytest.raises(PacketError):
             packet.encode()
 
+    def test_a1_wide_amt_root_rejected_on_encode(self):
+        # A 32-byte root beside a 20-byte ack element used to encode into
+        # bytes that decode_packet refused ("12 trailing bytes").
+        packet = A1Packet(1, 2, 63, h(8), 63, h(1), amt_root=b"\x03" * 32)
+        with pytest.raises(ValueError, match="expected 20, got 32"):
+            packet.encode()
+
+    def test_a1_narrow_echo_rejected_on_encode(self):
+        # A 16-byte echo used to encode silently and decode to a
+        # different packet.
+        packet = A1Packet(1, 2, 63, h(8), 63, b"\x01" * 16)
+        with pytest.raises(ValueError, match="expected 20, got 16"):
+            packet.encode()
+
     def test_handshake_missing_anchor(self):
         packet = HandshakePacket(5, 0, False, "sha1", b"n", b"", 0, h(1), 64)
         with pytest.raises(PacketError):

@@ -37,7 +37,11 @@ from repro.core.packets import (
 #: only cares that encode and decode agree on it).
 H = 20
 
-hashes = st.binary(min_size=H, max_size=H)
+
+def hashes_of(width: int):
+    return st.binary(min_size=width, max_size=width)
+
+
 assoc_ids = st.integers(min_value=0, max_value=2**64 - 1)
 seqs = st.integers(min_value=0, max_value=2**32 - 1)
 u32s = st.integers(min_value=0, max_value=2**32 - 1)
@@ -56,7 +60,8 @@ maybe_telemetry = st.none() | ledger_summaries
 
 
 @st.composite
-def s1_packets(draw):
+def s1_packets(draw, width=H):
+    hashes = hashes_of(width)
     mode = draw(st.sampled_from(list(Mode)))
     message_count = draw(st.integers(min_value=1, max_value=8))
     if mode is Mode.MERKLE:
@@ -80,7 +85,8 @@ def s1_packets(draw):
 
 
 @st.composite
-def a1_packets(draw):
+def a1_packets(draw, width=H):
+    hashes = hashes_of(width)
     n_pairs = draw(st.integers(min_value=0, max_value=6))
     return A1Packet(
         assoc_id=draw(assoc_ids),
@@ -97,7 +103,8 @@ def a1_packets(draw):
 
 
 @st.composite
-def s2_packets(draw):
+def s2_packets(draw, width=H):
+    hashes = hashes_of(width)
     return S2Packet(
         assoc_id=draw(assoc_ids),
         seq=draw(seqs),
@@ -110,7 +117,8 @@ def s2_packets(draw):
 
 
 @st.composite
-def a2_packets(draw):
+def a2_packets(draw, width=H):
+    hashes = hashes_of(width)
     verdicts = draw(
         st.lists(
             st.builds(
@@ -158,9 +166,18 @@ def handshake_packets(draw):
     )
 
 
-any_packets = st.one_of(
-    s1_packets(), a1_packets(), s2_packets(), a2_packets(), handshake_packets()
-)
+def packets_of_width(width: int):
+    """Every packet type, with ``width``-byte chain elements and hashes."""
+    return st.one_of(
+        s1_packets(width),
+        a1_packets(width),
+        s2_packets(width),
+        a2_packets(width),
+        handshake_packets(),
+    )
+
+
+any_packets = packets_of_width(H)
 
 
 @given(packet=any_packets)
