@@ -7,6 +7,7 @@ one protected path, with a comparison against the baselines' blind spots.
 
 from repro.attacks import PacketForger, ReplayAttacker, S1Flooder, TamperingRelay
 from repro.attacks.reformatting import demonstrate
+from repro.baselines.base import HmacAdapter
 from repro.baselines.hmac_e2e import HmacEndToEnd
 from repro.baselines.lhap import LhapNode
 from repro.core.adapter import EndpointAdapter, RelayAdapter
@@ -62,7 +63,7 @@ def scenario_insider_tampering():
     hmac_channel = HmacEndToEnd(sha1, b"e2e-key")
     packet = hmac_channel.protect(b"account balance: 100")
     print("               HMAC-E2E: receiver detects it, but NO relay could have "
-          f"(relay_verifiable={HmacEndToEnd.relay_can_verify()})")
+          f"(relay_verifiable={HmacAdapter.props.relay_verifiable})")
     rng = DRBG(9)
     a, b = LhapNode("a", sha1, rng.fork("a")), LhapNode("b", sha1, rng.fork("b"))
     b.learn_neighbour("a", a.chain.anchor)

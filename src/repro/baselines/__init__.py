@@ -22,10 +22,16 @@ simulation and on paper-style estimate tables:
   over coded generations (arXiv 2006.00310); reorder-tolerant and
   hop-verifiable, but no insider containment.
 
-:mod:`repro.baselines.base` additionally provides the
-:class:`~repro.baselines.base.BaselineAdapter` /
-:class:`~repro.baselines.base.BaselineChain` layer that runs every
-baseline on the netsim chain topology for the schemes × attacks grid.
+:mod:`repro.baselines.base` additionally runs every baseline on the
+netsim chain topology for the schemes × attacks grid: one
+:class:`~repro.baselines.base.BaselineAdapter` base class implements
+the roles the schemes share, and each scheme is a short subclass
+declaring its :class:`~repro.baselines.base.SchemeProperties` row (the
+single source of :func:`~repro.baselines.base.feature_matrix`), its
+signer/receiver, tag layout, forgery and the relay, insider or flush
+roles it owns. :class:`~repro.baselines.base.BaselineChain` drives an
+adapter over the chain and counts malformed receiver input once, as
+``receiver_errors``.
 """
 
 from repro.baselines.base import (

@@ -4,15 +4,18 @@
 paper's related-work section walks through (Section 2): whether relays
 can verify, whether insiders are contained, whether time synchronisation
 is needed, and when a receiver can verify. The attack benchmarks assert
-this matrix empirically.
+this matrix empirically. :func:`feature_matrix` is ALPHA's row followed
+by each baseline adapter's own ``props`` row.
 
 The second half of the module wires every baseline onto the simulator:
-a :class:`BaselineAdapter` per scheme (sender, optional per-hop relay
-judgement, receiver) and a :class:`BaselineChain` harness that runs an
-adapter over the paper's Figure-1 chain topology, so the schemes ×
-attacks grid in ``benchmarks/bench_attack_filtering.py`` and the
-``tests/security/`` separation tier drive ALPHA and all baselines
-through the *same* frame-level attacks.
+one :class:`BaselineAdapter` base class implementing the roles the
+schemes share (sender, optional per-hop relay judgement, receiver), a
+short subclass per scheme declaring only what is its own, and a
+:class:`BaselineChain` harness that runs an adapter over the paper's
+Figure-1 chain topology, so the schemes × attacks grid in
+``benchmarks/bench_attack_filtering.py`` and the ``tests/security/``
+separation tier drive ALPHA and all baselines through the *same*
+frame-level attacks.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from repro.baselines.chained_mode import (
     ChainedModeRelay,
     ChainedModeSigner,
     ChainedModeVerifier,
-    mac_region,
 )
 from repro.baselines.guy_fawkes import GuyFawkesSigner, GuyFawkesVerifier
 from repro.baselines.hmac_e2e import HmacEndToEnd
@@ -80,101 +82,27 @@ class SchemeProperties:
     provisional_window: int = 0
 
 
+#: ALPHA's own row; every baseline's row lives on its adapter's ``props``.
+ALPHA_PROPERTIES = SchemeProperties(
+    name="ALPHA",
+    relay_verifiable=True,
+    insider_protection=True,
+    needs_time_sync=False,
+    verification_delay="rtt",
+    sender_hash_ops=4.0,
+    signature_bytes=2 * 20,
+    reorder_tolerance="exchange",
+)
+
+
 def feature_matrix() -> list[SchemeProperties]:
-    """The qualitative comparison table (paper Section 2 distilled)."""
-    return [
-        SchemeProperties(
-            name="ALPHA",
-            relay_verifiable=True,
-            insider_protection=True,
-            needs_time_sync=False,
-            verification_delay="rtt",
-            sender_hash_ops=4.0,
-            signature_bytes=2 * 20,
-            reorder_tolerance="exchange",
-        ),
-        SchemeProperties(
-            name="HMAC-E2E",
-            relay_verifiable=False,
-            insider_protection=True,
-            needs_time_sync=False,
-            verification_delay="immediate",
-            sender_hash_ops=1.0,
-            signature_bytes=20,
-        ),
-        SchemeProperties(
-            name="PK-SIGN",
-            relay_verifiable=True,
-            insider_protection=True,
-            needs_time_sync=False,
-            verification_delay="immediate",
-            sender_pk_ops=1.0,
-            signature_bytes=128,
-        ),
-        SchemeProperties(
-            name="TESLA",
-            relay_verifiable=False,
-            insider_protection=True,
-            needs_time_sync=True,
-            verification_delay="disclosure-interval",
-            sender_hash_ops=2.0,
-            signature_bytes=2 * 20,
-        ),
-        SchemeProperties(
-            name="GUY-FAWKES",
-            relay_verifiable=False,
-            insider_protection=True,
-            needs_time_sync=False,
-            verification_delay="one-packet-lag",
-            sender_hash_ops=2.0,
-            signature_bytes=2 * 20,
-            reorder_tolerance="none",
-        ),
-        SchemeProperties(
-            name="LHAP",
-            relay_verifiable=True,
-            insider_protection=False,
-            needs_time_sync=True,
-            verification_delay="immediate",
-            sender_hash_ops=1.0,
-            signature_bytes=20,
-            # Token chains tolerate forward gaps (a lost token is skipped)
-            # but a token arriving *after* a later one is unverifiable.
-            reorder_tolerance="window",
-        ),
-        SchemeProperties(
-            # Progressive MACs (arXiv 2103.08560): truncated fragments
-            # aggregate to full strength over a window; acceptance is
-            # provisional until then (the Reality-Sandwich gap).
-            name="PROMAC",
-            relay_verifiable=False,
-            insider_protection=True,
-            needs_time_sync=False,
-            verification_delay="window",
-            sender_hash_ops=1.0,
-            signature_bytes=4 * 2,
-            reorder_tolerance="window",
-            provisional_window=3,
-        ),
-        SchemeProperties(
-            # Chained secure mode with network coding (arXiv
-            # 2006.00310): per-hop chained MACs over coded generations.
-            # Hop-verifiable and order-free inside a generation, but a
-            # compromised relay holds the downstream link key.
-            name="CSM",
-            relay_verifiable=True,
-            insider_protection=False,
-            needs_time_sync=False,
-            verification_delay="immediate",
-            sender_hash_ops=1.5,
-            signature_bytes=20,
-            reorder_tolerance="generation",
-        ),
-    ]
+    """The qualitative comparison table (paper Section 2 distilled):
+    ALPHA first, then each registered baseline adapter's row."""
+    return [ALPHA_PROPERTIES] + [a.props for a in scheme_adapters().values()]
 
 
 # ---------------------------------------------------------------------------
-# Netsim adapters: one sender/relay/receiver bundle per baseline scheme.
+# Netsim adapters: one shared base, one short declaration per scheme.
 # ---------------------------------------------------------------------------
 
 #: Marker message used by :meth:`BaselineAdapter.flush_packets` padding
@@ -215,17 +143,36 @@ class BaselineAdapter:
     *attack surface* methods (``message_region`` / ``tag_regions`` /
     ``forge``) so one attacker implementation can target every scheme.
 
+    This base class implements every role the schemes share. A scheme
+    is a subclass declaring only what is its own: its feature-matrix row
+    (:attr:`props`, which also names it), where its message sits
+    (:attr:`message_offset`), how :meth:`_build` creates its signer and
+    receiver, its tag layout and forgery, and the few roles it judges
+    differently. The shared roles rely on the receiver contract every
+    baseline receiver meets: ``handle_packet(packet)``, a ``verified``
+    list of records with a ``message``, and a ``rejected`` count.
+    Malformed input a receiver raises on is counted once, by
+    :class:`BaselineChain`, as ``receiver_errors``.
+
     Sender-side cryptographic work is tallied on :attr:`counter`
     (relays and the receiver hash on an uncounted front-end), so the
     grid's per-message cost column measures the sender exactly like the
     paper's Table 1 does for ALPHA.
     """
 
-    #: Feature-matrix name; must match a :func:`feature_matrix` row.
-    name = "?"
+    #: This scheme's :func:`feature_matrix` row.
+    props: SchemeProperties
+    #: Feature-matrix name, derived from :attr:`props`.
+    name: str
+    #: Offset of the u16 length of the message ``var_bytes`` field.
+    message_offset = 4
     #: End-of-run flush packets needed (see :meth:`flush_packets`).
     drain_rounds = 0
     drain_spacing = 0.05
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.name = cls.props.name
 
     def __init__(self, seed: int | str = 0, hops: int = 5) -> None:
         if hops < 2:
@@ -237,11 +184,16 @@ class BaselineAdapter:
         #: stays a pure sender-cost measurement.
         self.verify_hash = get_hash("sha1")
         self.rng = DRBG(seed, personalization=b"baseline:" + self.name.encode())
+        self.signer, self.receiver = self._build()
+
+    def _build(self) -> tuple:
+        """Create ``(signer, receiver)`` plus any per-relay state."""
+        raise NotImplementedError
 
     # -- protocol roles ------------------------------------------------------
 
     def protect(self, message: bytes, now: float) -> bytes:
-        raise NotImplementedError
+        return self.signer.protect(message)
 
     def relay_judge(
         self, payload: bytes, hop: int, now: float
@@ -272,20 +224,23 @@ class BaselineAdapter:
         )
 
     def receive(self, payload: bytes, now: float) -> None:
-        raise NotImplementedError
+        self.receiver.handle_packet(payload)
 
     def flush_packets(self, now: float) -> list[bytes]:
         """Trailing packets that settle receiver state (key disclosures,
-        window/generation padding). Called :attr:`drain_rounds` times."""
-        return []
+        window/generation padding). Called :attr:`drain_rounds` times;
+        by default one :data:`FLUSH_MARKER` message each round."""
+        return [self.protect(FLUSH_MARKER, now)] if self.drain_rounds else []
 
     # -- attack surface ------------------------------------------------------
 
     def message_region(self, payload: bytes) -> tuple[int, int] | None:
-        raise NotImplementedError
+        return _var_span(payload, self.message_offset)
 
     def tag_regions(self, payload: bytes) -> list[tuple[int, int]]:
-        raise NotImplementedError
+        """The common layout: one trailing digest-sized MAC or token."""
+        h = self.hash.digest_size
+        return [(len(payload) - h, len(payload))] if len(payload) > h else []
 
     def forge(self, rng: DRBG, now: float) -> bytes:
         """A from-thin-air packet with valid framing but no key material."""
@@ -295,7 +250,7 @@ class BaselineAdapter:
 
     def accepted_messages(self) -> list[bytes]:
         """Messages the application consumed (possibly provisionally)."""
-        raise NotImplementedError
+        return self._strip_markers([v.message for v in self.receiver.verified])
 
     def authenticated_messages(self) -> list[bytes]:
         """Messages whose authentication reached the scheme's full
@@ -304,7 +259,7 @@ class BaselineAdapter:
         return self.accepted_messages()
 
     def receiver_rejects(self) -> int:
-        raise NotImplementedError
+        return self.receiver.rejected
 
     def retractions(self) -> int:
         """Messages consumed and later proven wrong (ProMAC's gap)."""
@@ -318,35 +273,19 @@ class BaselineAdapter:
 class HmacAdapter(BaselineAdapter):
     """End-to-end shared-secret HMAC (keyless relays)."""
 
-    name = "HMAC-E2E"
+    props = SchemeProperties(
+        name="HMAC-E2E",
+        relay_verifiable=False,
+        insider_protection=True,
+        needs_time_sync=False,
+        verification_delay="immediate",
+        sender_hash_ops=1.0,
+        signature_bytes=20,
+    )
 
-    def __init__(self, seed: int | str = 0, hops: int = 5) -> None:
-        super().__init__(seed, hops)
+    def _build(self) -> tuple[HmacEndToEnd, HmacEndToEnd]:
         key = self.rng.random_bytes(self.hash.digest_size)
-        self._sender = HmacEndToEnd(self.hash, key)
-        self._receiver = HmacEndToEnd(self.verify_hash, key)
-        self._accepted: list[bytes] = []
-
-    def protect(self, message: bytes, now: float) -> bytes:
-        return self._sender.protect(message)
-
-    def receive(self, payload: bytes, now: float) -> None:
-        got = self._receiver.verify(payload)
-        if got is not None:
-            self._accepted.append(got.message)
-
-    def accepted_messages(self) -> list[bytes]:
-        return self._strip_markers(self._accepted)
-
-    def receiver_rejects(self) -> int:
-        return self._receiver.rejected
-
-    def message_region(self, payload: bytes) -> tuple[int, int] | None:
-        return _var_span(payload, 4)
-
-    def tag_regions(self, payload: bytes) -> list[tuple[int, int]]:
-        h = self.hash.digest_size
-        return [(len(payload) - h, len(payload))] if len(payload) > h else []
+        return HmacEndToEnd(self.hash, key), HmacEndToEnd(self.verify_hash, key)
 
     def forge(self, rng: DRBG, now: float) -> bytes:
         body = Writer().u32(0xF0F0).var_bytes(b"forged-hmac").getvalue()
@@ -356,21 +295,24 @@ class HmacAdapter(BaselineAdapter):
 class PkSignAdapter(BaselineAdapter):
     """Per-packet public-key signatures; every relay verifies."""
 
-    name = "PK-SIGN"
+    props = SchemeProperties(
+        name="PK-SIGN",
+        relay_verifiable=True,
+        insider_protection=True,
+        needs_time_sync=False,
+        verification_delay="immediate",
+        sender_pk_ops=1.0,
+        signature_bytes=128,
+    )
 
-    def __init__(self, seed: int | str = 0, hops: int = 5) -> None:
-        super().__init__(seed, hops)
+    def _build(self) -> tuple[PkSigner, PkVerifier]:
         identity = EcdsaScheme.generate(
             self.rng.fork("pk-identity"), counter=self.counter
         )
-        self._signer = PkSigner(identity)
-        blob = self._signer.public_blob()
-        self._relay_views = [PkVerifier(blob) for _ in range(hops - 1)]
-        self._receiver = PkVerifier(blob)
-        self._accepted: list[bytes] = []
-
-    def protect(self, message: bytes, now: float) -> bytes:
-        return self._signer.protect(message)
+        signer = PkSigner(identity)
+        blob = signer.public_blob()
+        self._relay_views = [PkVerifier(blob) for _ in range(self.hops - 1)]
+        return signer, PkVerifier(blob)
 
     def relay_judge(
         self, payload: bytes, hop: int, now: float
@@ -378,20 +320,6 @@ class PkSignAdapter(BaselineAdapter):
         if self._relay_views[hop - 1].verify(payload) is None:
             return False, None, "bad-signature"
         return True, None, "verified"
-
-    def receive(self, payload: bytes, now: float) -> None:
-        got = self._receiver.verify(payload)
-        if got is not None:
-            self._accepted.append(got.message)
-
-    def accepted_messages(self) -> list[bytes]:
-        return self._strip_markers(self._accepted)
-
-    def receiver_rejects(self) -> int:
-        return self._receiver.rejected
-
-    def message_region(self, payload: bytes) -> tuple[int, int] | None:
-        return _var_span(payload, 4)
 
     def tag_regions(self, payload: bytes) -> list[tuple[int, int]]:
         span = self.message_region(payload)
@@ -411,51 +339,42 @@ class PkSignAdapter(BaselineAdapter):
 class TeslaAdapter(BaselineAdapter):
     """TESLA delayed key disclosure on simulator time."""
 
-    name = "TESLA"
+    props = SchemeProperties(
+        name="TESLA",
+        relay_verifiable=False,
+        insider_protection=True,
+        needs_time_sync=True,
+        verification_delay="disclosure-interval",
+        sender_hash_ops=2.0,
+        signature_bytes=2 * 20,
+    )
     drain_rounds = 6
     drain_spacing = 0.25
 
-    def __init__(self, seed: int | str = 0, hops: int = 5) -> None:
-        super().__init__(seed, hops)
+    def _build(self) -> tuple[TeslaSigner, TeslaVerifier]:
         self.schedule = TeslaSchedule(
             start_time=0.0, interval_s=0.25, disclosure_lag=2, chain_length=64
         )
-        self._signer = TeslaSigner(
+        signer = TeslaSigner(
             self.hash, self.rng.random_bytes(self.hash.digest_size), self.schedule
         )
-        self._receiver = TeslaVerifier(
-            self.verify_hash, self._signer.anchor, self.schedule
-        )
-        self._malformed = 0
+        return signer, TeslaVerifier(self.verify_hash, signer.anchor, self.schedule)
 
     def protect(self, message: bytes, now: float) -> bytes:
-        return self._signer.protect(message, now)
+        return self.signer.protect(message, now)
 
     def receive(self, payload: bytes, now: float) -> None:
-        try:
-            if len(payload) == 4 + self.hash.digest_size:
-                self._receiver.handle_disclosure_packet(payload)
-            else:
-                self._receiver.handle_packet(payload, now)
-        except Exception:
-            self._malformed += 1
+        if len(payload) == 4 + self.hash.digest_size:
+            self.receiver.handle_disclosure_packet(payload)
+        else:
+            self.receiver.handle_packet(payload, now)
 
     def flush_packets(self, now: float) -> list[bytes]:
-        disclosure = self._signer.idle_disclosure(now)
+        disclosure = self.signer.idle_disclosure(now)
         return [disclosure] if disclosure is not None else []
 
-    def accepted_messages(self) -> list[bytes]:
-        return self._strip_markers([v.message for v in self._receiver.verified])
-
     def receiver_rejects(self) -> int:
-        return (
-            self._receiver.rejected
-            + self._receiver.dropped_unsafe
-            + self._malformed
-        )
-
-    def message_region(self, payload: bytes) -> tuple[int, int] | None:
-        return _var_span(payload, 4)
+        return self.receiver.rejected + self.receiver.dropped_unsafe
 
     def tag_regions(self, payload: bytes) -> list[tuple[int, int]]:
         span = self.message_region(payload)
@@ -475,45 +394,29 @@ class TeslaAdapter(BaselineAdapter):
 
 
 class GuyFawkesAdapter(BaselineAdapter):
-    """Guy Fawkes interactive stream signatures (strict order)."""
+    """Guy Fawkes interactive stream signatures (strict order).
 
-    name = "GUY-FAWKES"
+    One trailing flush packet discloses the previous key, releasing the
+    last real message from the one-packet verification lag.
+    """
+
+    props = SchemeProperties(
+        name="GUY-FAWKES",
+        relay_verifiable=False,
+        insider_protection=True,
+        needs_time_sync=False,
+        verification_delay="one-packet-lag",
+        sender_hash_ops=2.0,
+        signature_bytes=2 * 20,
+        reorder_tolerance="none",
+    )
     drain_rounds = 1
 
-    def __init__(self, seed: int | str = 0, hops: int = 5) -> None:
-        super().__init__(seed, hops)
-        self._signer = GuyFawkesSigner(self.hash, self.rng.fork("gf-keys"))
-        self._receiver = GuyFawkesVerifier(
-            self.verify_hash, self._signer.bootstrap_commitment()
+    def _build(self) -> tuple[GuyFawkesSigner, GuyFawkesVerifier]:
+        signer = GuyFawkesSigner(self.hash, self.rng.fork("gf-keys"))
+        return signer, GuyFawkesVerifier(
+            self.verify_hash, signer.bootstrap_commitment()
         )
-        self._malformed = 0
-
-    def protect(self, message: bytes, now: float) -> bytes:
-        return self._signer.protect(message)
-
-    def receive(self, payload: bytes, now: float) -> None:
-        try:
-            self._receiver.handle_packet(payload)
-        except Exception:
-            self._malformed += 1
-
-    def flush_packets(self, now: float) -> list[bytes]:
-        # One trailing packet discloses the previous key, releasing the
-        # last real message from the one-packet verification lag.
-        return [self._signer.protect(FLUSH_MARKER)]
-
-    @property
-    def desynchronized(self) -> bool:
-        return self._receiver.desynchronized
-
-    def accepted_messages(self) -> list[bytes]:
-        return self._strip_markers([v.message for v in self._receiver.verified])
-
-    def receiver_rejects(self) -> int:
-        return self._receiver.rejected + self._malformed
-
-    def message_region(self, payload: bytes) -> tuple[int, int] | None:
-        return _var_span(payload, 4)
 
     def tag_regions(self, payload: bytes) -> list[tuple[int, int]]:
         span = self.message_region(payload)
@@ -538,11 +441,22 @@ class GuyFawkesAdapter(BaselineAdapter):
 class LhapAdapter(BaselineAdapter):
     """LHAP per-hop token chains; relays re-token what they forward."""
 
-    name = "LHAP"
+    props = SchemeProperties(
+        name="LHAP",
+        relay_verifiable=True,
+        insider_protection=False,
+        needs_time_sync=True,
+        verification_delay="immediate",
+        sender_hash_ops=1.0,
+        signature_bytes=20,
+        # Token chains tolerate forward gaps (a lost token is skipped)
+        # but a token arriving *after* a later one is unverifiable.
+        reorder_tolerance="window",
+    )
+    message_offset = 0
 
-    def __init__(self, seed: int | str = 0, hops: int = 5) -> None:
-        super().__init__(seed, hops)
-        names = ["s"] + [f"r{i}" for i in range(1, hops)] + ["v"]
+    def _build(self) -> tuple[LhapNode, LhapNode]:
+        names = ["s"] + [f"r{i}" for i in range(1, self.hops)] + ["v"]
         self._names = names
         self._nodes: dict[str, LhapNode] = {}
         for name in names:
@@ -555,7 +469,7 @@ class LhapAdapter(BaselineAdapter):
                 upstream, self._nodes[upstream].chain.anchor
             )
         self._accepted: list[bytes] = []
-        self._malformed = 0
+        return self._nodes["s"], self._nodes["v"]
 
     def _encode(self, message: bytes, token: bytes) -> bytes:
         return Writer().var_bytes(message).raw(token).getvalue()
@@ -568,7 +482,7 @@ class LhapAdapter(BaselineAdapter):
         return payload[span[0] : span[1]], payload[span[1] :]
 
     def protect(self, message: bytes, now: float) -> bytes:
-        return self._encode(*self._nodes["s"].attach_token(message))
+        return self._encode(*self.signer.attach_token(message))
 
     def relay_judge(
         self, payload: bytes, hop: int, now: float
@@ -598,26 +512,12 @@ class LhapAdapter(BaselineAdapter):
         return True, [self._encode(*me.attach_token(mutated))], "insider-retokened"
 
     def receive(self, payload: bytes, now: float) -> None:
-        try:
-            message, token = self._decode(payload)
-        except ValueError:
-            self._malformed += 1
-            return
-        if self._nodes["v"].verify_from(self._names[-2], message, token):
+        message, token = self._decode(payload)
+        if self.receiver.verify_from(self._names[-2], message, token):
             self._accepted.append(message)
 
     def accepted_messages(self) -> list[bytes]:
         return self._strip_markers(self._accepted)
-
-    def receiver_rejects(self) -> int:
-        return self._nodes["v"].rejected + self._malformed
-
-    def message_region(self, payload: bytes) -> tuple[int, int] | None:
-        return _var_span(payload, 0)
-
-    def tag_regions(self, payload: bytes) -> list[tuple[int, int]]:
-        h = self.hash.digest_size
-        return [(len(payload) - h, len(payload))] if len(payload) > h else []
 
     def forge(self, rng: DRBG, now: float) -> bytes:
         return self._encode(
@@ -626,61 +526,49 @@ class LhapAdapter(BaselineAdapter):
 
 
 class ProMacAdapter(BaselineAdapter):
-    """ProMAC progressive fragments with provisional acceptance."""
+    """ProMAC progressive fragments with provisional acceptance.
 
-    name = "PROMAC"
+    Flush packets carry the back-fragments that bring the last real
+    messages of the stream to full MAC strength.
+    """
+
+    props = SchemeProperties(
+        # Progressive MACs (arXiv 2103.08560): truncated fragments
+        # aggregate to full strength over a window; acceptance is
+        # provisional until then (the Reality-Sandwich gap).
+        name="PROMAC",
+        relay_verifiable=False,
+        insider_protection=True,
+        needs_time_sync=False,
+        verification_delay="window",
+        sender_hash_ops=1.0,
+        signature_bytes=4 * 2,
+        reorder_tolerance="window",
+        provisional_window=3,
+    )
     drain_rounds = DEFAULT_WINDOW - 1
 
-    def __init__(
-        self,
-        seed: int | str = 0,
-        hops: int = 5,
-        window: int = DEFAULT_WINDOW,
-        fragment_bytes: int = DEFAULT_FRAGMENT_BYTES,
-    ) -> None:
-        super().__init__(seed, hops)
+    def _build(self) -> tuple[ProMacSigner, ProMacVerifier]:
         key = self.rng.random_bytes(self.hash.digest_size)
-        self.window = window
-        self.fragment_bytes = fragment_bytes
-        self._signer = ProMacSigner(self.hash, key, window, fragment_bytes)
-        self.verifier = ProMacVerifier(
-            self.verify_hash, key, window, fragment_bytes
-        )
-
-    def protect(self, message: bytes, now: float) -> bytes:
-        return self._signer.protect(message)
-
-    def receive(self, payload: bytes, now: float) -> None:
-        self.verifier.handle_packet(payload)
-
-    def flush_packets(self, now: float) -> list[bytes]:
-        # Marker packets carry the back-fragments that bring the last
-        # real messages of the stream to full MAC strength.
-        return [self._signer.protect(FLUSH_MARKER)]
+        return ProMacSigner(self.hash, key), ProMacVerifier(self.verify_hash, key)
 
     def accepted_messages(self) -> list[bytes]:
-        return self._strip_markers([m for _, m in self.verifier.accepted])
+        return self._strip_markers([m for _, m in self.receiver.accepted])
 
     def authenticated_messages(self) -> list[bytes]:
-        return self._strip_markers([m for _, m in self.verifier.finalized])
-
-    def receiver_rejects(self) -> int:
-        return self.verifier.rejected
+        return self._strip_markers([m for _, m in self.receiver.finalized])
 
     def retractions(self) -> int:
-        return self.verifier.accepted_then_retracted
-
-    def message_region(self, payload: bytes) -> tuple[int, int] | None:
-        return _var_span(payload, 4)
+        return self.receiver.accepted_then_retracted
 
     def tag_regions(self, payload: bytes) -> list[tuple[int, int]]:
-        return aggregate_tag_regions(payload, self.fragment_bytes)
+        return aggregate_tag_regions(payload)
 
     def forge(self, rng: DRBG, now: float) -> bytes:
         out = Writer()
         out.u32(50_000)
         out.var_bytes(b"forged-promac")
-        out.raw(rng.random_bytes(self.fragment_bytes))
+        out.raw(rng.random_bytes(DEFAULT_FRAGMENT_BYTES))
         out.u8(0)
         return out.getvalue()
 
@@ -688,76 +576,53 @@ class ProMacAdapter(BaselineAdapter):
 class ChainedModeAdapter(BaselineAdapter):
     """CSM chained per-hop MACs over coded generations."""
 
-    name = "CSM"
+    props = SchemeProperties(
+        # Chained secure mode with network coding (arXiv
+        # 2006.00310): per-hop chained MACs over coded generations.
+        # Hop-verifiable and order-free inside a generation, but a
+        # compromised relay holds the downstream link key.
+        name="CSM",
+        relay_verifiable=True,
+        insider_protection=False,
+        needs_time_sync=False,
+        verification_delay="immediate",
+        sender_hash_ops=1.5,
+        signature_bytes=20,
+        reorder_tolerance="generation",
+    )
+    message_offset = 6  # u32 generation | u16 index | var_bytes
     drain_rounds = DEFAULT_GENERATION_SIZE - 1
 
-    def __init__(
-        self,
-        seed: int | str = 0,
-        hops: int = 5,
-        generation_size: int = DEFAULT_GENERATION_SIZE,
-    ) -> None:
-        super().__init__(seed, hops)
-        self.generation_size = generation_size
+    def _build(self) -> tuple[ChainedModeSigner, ChainedModeVerifier]:
         key_rng = self.rng.fork("csm-keys")
         keys = [
-            key_rng.random_bytes(self.hash.digest_size) for _ in range(hops)
+            key_rng.random_bytes(self.hash.digest_size) for _ in range(self.hops)
         ]
-        self._signer = ChainedModeSigner(self.hash, keys[0], generation_size)
-        self.relays = [
-            ChainedModeRelay(
-                self.verify_hash, keys[i], keys[i + 1], generation_size
-            )
-            for i in range(hops - 1)
+        self._relays = [
+            ChainedModeRelay(self.verify_hash, upstream, downstream)
+            for upstream, downstream in zip(keys, keys[1:])
         ]
-        self._receiver = ChainedModeVerifier(
-            self.verify_hash, keys[-1], generation_size
+        return (
+            ChainedModeSigner(self.hash, keys[0]),
+            ChainedModeVerifier(self.verify_hash, keys[-1]),
         )
-        self._malformed = 0
-
-    def protect(self, message: bytes, now: float) -> bytes:
-        return self._signer.protect(message)
 
     def relay_judge(
         self, payload: bytes, hop: int, now: float
     ) -> tuple[bool, list[bytes] | None, str]:
-        forward, reason, outs = self.relays[hop - 1].handle(payload)
-        if not forward:
-            return False, None, reason
-        return True, outs, reason
+        return self._relays[hop - 1].handle(payload)
 
     def insider_judge(
         self, payload: bytes, hop: int, now: float
     ) -> tuple[bool, list[bytes] | None, str]:
-        forward, reason, outs = self.relays[hop - 1].handle_as_insider(
+        return self._relays[hop - 1].handle_as_insider(
             payload, lambda m: _flip_last_byte(m, (0, len(m)))
         )
-        if not forward:
-            return False, None, reason
-        return True, outs, reason
-
-    def receive(self, payload: bytes, now: float) -> None:
-        try:
-            self._receiver.handle_packet(payload)
-        except Exception:
-            self._malformed += 1
 
     def flush_packets(self, now: float) -> list[bytes]:
-        if self._signer.pending_in_generation == 0:
+        if self.signer.pending_in_generation == 0:
             return []
-        return [self._signer.protect(FLUSH_MARKER)]
-
-    def accepted_messages(self) -> list[bytes]:
-        return self._strip_markers([v.message for v in self._receiver.verified])
-
-    def receiver_rejects(self) -> int:
-        return self._receiver.rejected + self._malformed
-
-    def message_region(self, payload: bytes) -> tuple[int, int] | None:
-        return _var_span(payload, 6)  # u32 generation | u16 index | var_bytes
-
-    def tag_regions(self, payload: bytes) -> list[tuple[int, int]]:
-        return mac_region(payload, self.hash.digest_size)
+        return super().flush_packets(now)
 
     def forge(self, rng: DRBG, now: float) -> bytes:
         out = Writer()

@@ -33,20 +33,13 @@ value is the same no matter how the generation arrived.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.wire import Reader, Writer
 from repro.crypto.hashes import HashFunction
 
 #: Default packets per generation.
 DEFAULT_GENERATION_SIZE = 4
-
-
-def mac_region(packet: bytes, digest_size: int) -> list[tuple[int, int]]:
-    """Byte span of the trailing MAC — the chained-tag region."""
-    if len(packet) <= digest_size:
-        return []
-    return [(len(packet) - digest_size, len(packet))]
 
 
 @dataclass
@@ -213,27 +206,28 @@ class ChainedModeRelay:
     def rejected(self) -> int:
         return self._observer.rejected
 
-    def handle(self, packet: bytes) -> tuple[bool, str, list[bytes]]:
-        """(forward?, reason, rewritten packets to send downstream).
+    def handle(self, packet: bytes) -> tuple[bool, list[bytes] | None, str]:
+        """(forward?, rewritten packets to send downstream, reason).
 
         A verified packet is re-MACed with the downstream link key; a
         completed generation may flush buffered early arrivals, so one
-        input can produce several outputs.
+        input can produce several outputs. A dropped or held packet
+        yields no rewrite (``None``).
         """
         ok, reason, verified = self._observer.judge(packet)
         if not ok:
             if reason == "buffered-future":
                 self.held += 1
-                return False, reason, []
-            self.dropped += 1
-            return False, reason, []
+            else:
+                self.dropped += 1
+            return False, None, reason
         out = [self._downstream.protect(item.message) for item in verified]
         self.forwarded += len(out)
-        return True, reason, out
+        return True, out, reason
 
     def handle_as_insider(
         self, packet: bytes, mutate
-    ) -> tuple[bool, str, list[bytes]]:
+    ) -> tuple[bool, list[bytes] | None, str]:
         """What a *compromised* relay can do: verify upstream as usual,
         then re-MAC ``mutate(message)`` with its legitimate downstream
         key. Downstream hops verify the rewrite happily — the insider
@@ -241,12 +235,12 @@ class ChainedModeRelay:
         """
         ok, reason, verified = self._observer.judge(packet)
         if not ok:
-            return False, reason, []
+            return False, None, reason
         outs = [
             self._downstream.protect(mutate(item.message)) for item in verified
         ]
         self.forwarded += len(outs)
-        return True, "insider-rewritten", outs
+        return True, outs, "insider-rewritten"
 
 
 class ChainedModeVerifier:
@@ -265,44 +259,8 @@ class ChainedModeVerifier:
     def rejected(self) -> int:
         return self._observer.rejected
 
-    @property
-    def replays(self) -> int:
-        return self._observer.replays
-
     def handle_packet(self, packet: bytes) -> tuple[bool, str]:
         ok, reason, verified = self._observer.judge(packet)
         self.verified.extend(verified)
         return ok, reason
 
-
-@dataclass
-class ChainedModePath:
-    """A full sender → relays → receiver key layout for one path."""
-
-    signer: ChainedModeSigner
-    relays: list[ChainedModeRelay]
-    receiver: ChainedModeVerifier
-    link_keys: list[bytes] = field(default_factory=list)
-
-    @classmethod
-    def build(
-        cls,
-        hash_fn: HashFunction,
-        rng,
-        hops: int,
-        generation_size: int = DEFAULT_GENERATION_SIZE,
-    ) -> "ChainedModePath":
-        """``hops`` links ⇒ ``hops - 1`` relays, one key per link."""
-        if hops < 1:
-            raise ValueError("a path needs at least one hop")
-        keys = [rng.random_bytes(hash_fn.digest_size) for _ in range(hops)]
-        relays = [
-            ChainedModeRelay(hash_fn, keys[i], keys[i + 1], generation_size)
-            for i in range(hops - 1)
-        ]
-        return cls(
-            signer=ChainedModeSigner(hash_fn, keys[0], generation_size),
-            relays=relays,
-            receiver=ChainedModeVerifier(hash_fn, keys[-1], generation_size),
-            link_keys=keys,
-        )

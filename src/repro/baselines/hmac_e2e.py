@@ -32,6 +32,7 @@ class HmacEndToEnd:
         self._key = key
         self._send_seq = 0
         self._seen: set[int] = set()
+        self.verified: list[HmacVerified] = []
         self.rejected = 0
 
     def protect(self, message: bytes) -> bytes:
@@ -64,7 +65,8 @@ class HmacEndToEnd:
         self._seen.add(seq)
         return HmacVerified(seq, message)
 
-    @staticmethod
-    def relay_can_verify() -> bool:
-        """Relays hold no key: hop-by-hop verification is impossible."""
-        return False
+    def handle_packet(self, packet: bytes) -> None:
+        """Receiver role: keep what verifies on :attr:`verified`."""
+        got = self.verify(packet)
+        if got is not None:
+            self.verified.append(got)

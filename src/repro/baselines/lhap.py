@@ -98,8 +98,3 @@ class LhapNode:
                 return True
         self.rejected += 1
         return False
-
-    @staticmethod
-    def protects_against_insiders() -> bool:
-        """A compromised relay can modify payloads undetected."""
-        return False

@@ -52,6 +52,7 @@ class PkVerifier:
     def __init__(self, public_blob: bytes) -> None:
         self._public_blob = public_blob
         self._seen: set[int] = set()
+        self.verified: list[PkVerified] = []
         self.rejected = 0
 
     def verify(self, packet: bytes) -> PkVerified | None:
@@ -75,7 +76,8 @@ class PkVerifier:
         self._seen.add(seq)
         return PkVerified(seq, message)
 
-    @staticmethod
-    def relay_can_verify() -> bool:
-        """Anyone with the public key can verify — including relays."""
-        return True
+    def handle_packet(self, packet: bytes) -> None:
+        """Receiver role: keep what verifies on :attr:`verified`."""
+        got = self.verify(packet)
+        if got is not None:
+            self.verified.append(got)

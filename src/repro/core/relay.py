@@ -45,6 +45,10 @@ from repro.obs import OBS_OFF, EventKind, Observability
 from repro.obs.linkhealth import HealthLedger
 
 
+#: Cap on the per-association S1 size allowance in bytes.
+MAX_S1_ALLOWANCE = 65535
+
+
 @dataclass(frozen=True)
 class RelayConfig:
     """Behaviour switches for a relay."""
@@ -59,9 +63,8 @@ class RelayConfig:
     #: Forward packets of associations with unknown anchors (non-ALPHA
     #: relays would). Strict-security deployments set this to False.
     forward_unknown: bool = True
-    #: Initial per-association S1 size allowance in bytes, and its cap.
+    #: Initial per-association S1 size allowance in bytes.
     initial_s1_allowance: int = 1536
-    max_s1_allowance: int = 65535
     #: Buffered exchanges per simplex channel.
     max_buffered_exchanges: int = 8
     #: Evict a buffered exchange untouched for this long (seconds); a
@@ -548,9 +551,7 @@ class _ChannelObserver:
             exchange.pre_nacks = list(packet.pre_nacks)
             exchange.amt_root = packet.amt_root
             self._resize(exchange)
-            self.s1_allowance = min(
-                self.s1_allowance * 2, self.config.max_s1_allowance
-            )
+            self.s1_allowance = min(self.s1_allowance * 2, MAX_S1_ALLOWANCE)
             if self._obs.enabled:
                 self._obs.tracer.emit(
                     now, self._node, EventKind.RELAY_REANCHOR, self.assoc_id,
@@ -569,7 +570,7 @@ class _ChannelObserver:
         exchange.amt_root = packet.amt_root
         self._resize(exchange)
         # The destination was willing: grow the sender's S1 allowance.
-        self.s1_allowance = min(self.s1_allowance * 2, self.config.max_s1_allowance)
+        self.s1_allowance = min(self.s1_allowance * 2, MAX_S1_ALLOWANCE)
         return RelayDecision(True, "a1-ok", verified=True)
 
     def on_s2(self, packet: S2Packet, now: float = 0.0) -> RelayDecision:

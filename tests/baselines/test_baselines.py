@@ -52,7 +52,8 @@ class TestHmacE2E:
         assert receiver.verify(sender.protect(b"m")) is None
 
     def test_relays_cannot_verify(self):
-        assert HmacEndToEnd.relay_can_verify() is False
+        rows = {p.name: p for p in feature_matrix()}
+        assert rows["HMAC-E2E"].relay_verifiable is False
 
     def test_empty_key_rejected(self, sha1):
         with pytest.raises(ValueError):
@@ -89,7 +90,8 @@ class TestPkSign:
         signer, _ = pair
         relay_view = PkVerifier(signer.public_blob())
         assert relay_view.verify(signer.protect(b"transit")) is not None
-        assert PkVerifier.relay_can_verify() is True
+        rows = {p.name: p for p in feature_matrix()}
+        assert rows["PK-SIGN"].relay_verifiable is True
 
     def test_garbage_rejected(self, pair):
         _, verifier = pair
@@ -300,7 +302,8 @@ class TestLhap:
         a, b = self.make_pair(sha1, rng)
         _, token = a.attach_token(b"original")
         assert b.verify_from("a", b"tampered by insider", token)
-        assert not LhapNode.protects_against_insiders()
+        rows = {p.name: p for p in feature_matrix()}
+        assert not rows["LHAP"].insider_protection
 
     def test_chain_exhaustion(self, sha1, rng):
         node = LhapNode("n", sha1, rng, chain_length=2)
